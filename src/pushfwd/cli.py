@@ -14,7 +14,7 @@ import json
 import sys
 from math import floor
 
-from .campaigns import SCAN_COLUMNS, run_campaign
+from .campaigns import SCAN_COLUMNS, _oracle_row, run_campaign
 from .errors import PushforwardError
 from .genus0 import direct_image_g0
 from .genus1 import AtiyahBundleSpec, direct_image_g1
@@ -158,17 +158,10 @@ def _cmd_hyper_push(args) -> int:
     if args.format == "json":
         _emit(_json_text(payload), args)
     elif args.format == "csv":
-        row = {
-            "p": curve.prime, "g": curve.genus, "curve": curve.to_string(),
-            "divisor": divisor_to_string(divisor), "m": cover.exponent,
-            "n": cover.degree, "d": divisor.degree,
-            "splitting": " ".join(str(t) for t in bundle.twists),
-            "spread": spread(bundle), "bound": "", "within_bound": "",
-        }
+        bound = None
         if curve.genus >= 2:
-            sb = spread_bound(CurveMapContext(curve.genus, cover.degree, 1, divisor.degree))
-            row["bound"] = str(sb.bound)
-            row["within_bound"] = spread(bundle) <= sb.floor()
+            bound = spread_bound(CurveMapContext(curve.genus, cover.degree, 1, divisor.degree))
+        row = _oracle_row(curve, divisor, cover, bundle, bound)
         _emit(_csv_text(SCAN_COLUMNS, [row]), args)
     else:
         lines = _splitting_text(bundle)

@@ -37,8 +37,9 @@ def g0_oracle_sequence(n: int, m: int) -> CohSequence:
     """The h0 sequence of the direct image of O(m), from the line's own
     cohomology table: pulling back O(-l) twists the source by -l*n, so the
     value at l is max(0, m - l*n + 1).  Extracting a splitting from this
-    sequence must reproduce :func:`direct_image_g0`.
+    sequence must reproduce :func:`direct_image_g0`.  The walk starts
+    inside the window, at l = m // n.
     """
     if n < 1:
         raise InvalidDegree(f"map degree must be at least 1, got {n}")
-    return h0_sequence_from_callable(lambda l: max(0, m - l * n + 1), n)
+    return h0_sequence_from_callable(lambda l: max(0, m - l * n + 1), n, start=m // n)

@@ -19,6 +19,10 @@ Riemann-Roch space dimensions are computed by exact linear algebra:
 
 Dimensions are invariant under base field extension, so these match the
 geometric values the splitting formulas refer to.
+
+Pushforward windows send only degrees in [0, 2g - 2] to this linear algebra
+(Riemann-Roch gives the rest) and start their walk at floor((d - g) / n), so
+the genus bounds how many dimensions they compute; nothing is memoized.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ def _is_prime(n: int) -> bool:
 class HyperellipticCurve:
     """y^2 = f(x) over F_p, f monic squarefree of odd degree 2g + 1 >= 3."""
 
-    __slots__ = ("prime", "coeffs", "genus", "_rr_cache")
+    __slots__ = ("prime", "coeffs", "genus")
 
     def __init__(self, prime: int, coeffs: Iterable[int]):
         if prime == 2:
@@ -88,7 +92,6 @@ class HyperellipticCurve:
         self.prime = prime
         self.coeffs = cs
         self.genus = (len(cs) - 2) // 2
-        self._rr_cache: dict = {}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HyperellipticCurve):
@@ -257,7 +260,8 @@ def _condition_rows(x_series, y_series, count, basis, p):
     return [[col[order] for col in cols] for order in range(count)]
 
 
-def _rr_space_dim_uncached(divisor: Divisor) -> int:
+def rr_space_dim(divisor: Divisor) -> int:
+    """dim L(D) = h0 of the line bundle O(D) on the curve."""
     curve = divisor.curve
     p = curve.prime
     g = curve.genus
@@ -308,20 +312,6 @@ def _rr_space_dim_uncached(divisor: Divisor) -> int:
     return kernel_dim_mod_p(np.array(rows, dtype=np.int64), p)
 
 
-def rr_space_dim(divisor: Divisor) -> int:
-    """dim L(D) = h0 of the line bundle O(D) on the curve.
-
-    Results are memoized per curve; the memo is invisible to callers.
-    """
-    curve = divisor.curve
-    key = (divisor.at_infinity, divisor.affine)
-    cached = curve._rr_cache.get(key)
-    if cached is None:
-        cached = _rr_space_dim_uncached(divisor)
-        curve._rr_cache[key] = cached
-    return cached
-
-
 def linearly_equivalent(d1: Divisor, d2: Divisor) -> bool:
     """Whether two divisors differ by the divisor of a function.
 
@@ -336,11 +326,23 @@ def linearly_equivalent(d1: Divisor, d2: Divisor) -> bool:
 
 def h0_sequence(divisor: Divisor, cover: ComposedMap) -> CohSequence:
     """Dimensions l -> dim L(D - n*l*infinity), n = cover degree, over the
-    minimal window needed to recover the direct image."""
-    n = cover.degree
-    return h0_sequence_from_callable(
-        lambda l: rr_space_dim(divisor.shift_infinity(-n * l)), n
-    )
+    minimal window needed to recover the direct image.
+
+    Riemann-Roch answers the degrees outside [0, 2g - 2].  The walk starts
+    at l = (d - g) // n, where deg >= g makes the value positive and which
+    is at least the smallest twist, so every probe lies in the window.
+    """
+    n, d, g = cover.degree, divisor.degree, divisor.curve.genus
+
+    def h0_at(l: int) -> int:
+        deg = d - n * l
+        if deg < 0:
+            return 0
+        if deg > 2 * g - 2:
+            return deg + 1 - g
+        return rr_space_dim(divisor.shift_infinity(-n * l))
+
+    return h0_sequence_from_callable(h0_at, n, start=(d - g) // n)
 
 
 def pushforward(divisor: Divisor, cover: ComposedMap) -> SplittingType:

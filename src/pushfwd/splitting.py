@@ -204,13 +204,15 @@ def h0_sequence_from_callable(
     h0_of: Callable[[int], int],
     rank_hint: int,
     max_steps: int = 10_000,
+    start: int = 0,
 ) -> CohSequence:
     """Discover the minimal window of ``l -> h0_of(l)`` and package it.
 
-    The top of the window sits two steps above the largest degree with a
-    positive value; the bottom is found by walking down until the
-    accumulated second differences reach ``rank_hint``.  The callable is
-    queried once per degree.
+    Walking from ``start``, the top of the window sits two steps above the
+    largest degree with a positive value; the bottom is found by walking
+    down until the accumulated second differences reach ``rank_hint``.  The
+    callable is queried once per degree, and only inside the window when
+    ``start`` is; ``max_steps`` bounds the walk otherwise.
     """
     if rank_hint < 1:
         raise InvalidSequence("rank hint must be a positive integer")
@@ -225,8 +227,8 @@ def h0_sequence_from_callable(
         return cache[l]
 
     steps = 0
-    l = 0
-    if a(0) > 0:
+    l = start
+    if a(l) > 0:
         while a(l) > 0:
             l += 1
             steps += 1

@@ -73,6 +73,14 @@ def test_hyper_push_text_output():
     assert "h0 sequence on [-3, 2]: 5 3 2 1 0 0" in out
 
 
+def test_hyper_push_far_divisor():
+    code, out, _ = run_cli("hyper", "push", "--curve", "p=5; f=0,1,0,0,0,1",
+                           "--divisor", "inf:30000", "--m", "1")
+    assert code == 0
+    assert "splitting: 15000 14997" in out
+    assert "h0 sequence on [14997, 15002]: 5 3 2 1 0 0" in out
+
+
 def test_hyper_push_csv_scan_row():
     code, out, _ = run_cli("hyper", "push", "--curve", "p=5; f=0,1,0,0,0,1",
                            "--divisor", "inf:2", "--m", "1", "--format", "csv")

@@ -83,6 +83,10 @@ def test_oracle_equivalence_grid():
         for m in range(-20, 21):
             assert splitting_from_h0_sequence(g0_oracle_sequence(n, m)) == \
                 direct_image_g0(n, m)
+    # windows more than 10_000 steps from l = 0
+    for n, m in ((1, 50000), (3, -40000)):
+        assert splitting_from_h0_sequence(g0_oracle_sequence(n, m)) == \
+            direct_image_g0(n, m)
 
 
 def test_projection_formula():

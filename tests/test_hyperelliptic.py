@@ -1,6 +1,7 @@
 """The Riemann-Roch oracle: dimensions, sequences, pushforwards."""
 
 import random
+import time
 
 import pytest
 
@@ -18,7 +19,9 @@ from pushfwd import (
     curve_from_string,
     divisor_from_string,
     divisor_to_string,
+    h0,
     h0_sequence,
+    h0_sequence_of,
     is_exceptional_class,
     linearly_equivalent,
     pushforward,
@@ -149,6 +152,45 @@ def test_pushforward_frozen_examples(genus2_curve, elliptic_curve):
     assert pushforward(Divisor(elliptic_curve, 1), ComposedMap(1)) == SplittingType([0, -1])
     assert pushforward(canonical_divisor(genus2_curve), ComposedMap(1)) == \
         SplittingType([1, -2])
+
+
+@pytest.mark.parametrize("text", ["inf:30000", "inf:-30000", "inf:20000"])
+def test_pushforward_far_from_the_oracle_degrees(genus2_curve, text):
+    # The window lies near l = d / n, thousands of steps from l = 0.
+    divisor = divisor_from_string(genus2_curve, text)
+    cover = ComposedMap(1)
+    image = pushforward(divisor, cover)
+    assert image.rank == cover.degree
+    assert image.degree == divisor.degree + 1 - genus2_curve.genus - cover.degree
+    assert h0(image) == rr_space_dim(divisor)
+
+
+def test_pushforward_large_multiplicity_budget(genus2_curve):
+    # Budget: 5 s for one pushforward of a multiplicity-200 point.
+    divisor = divisor_from_string(genus2_curve, "inf:2; pt:2,2:200")
+    cover = ComposedMap(1)
+    start = time.perf_counter()
+    image = pushforward(divisor, cover)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"took {elapsed:.2f}s"
+    assert image.rank == cover.degree
+    assert image.degree == divisor.degree + 1 - genus2_curve.genus - cover.degree
+    assert h0(image) == rr_space_dim(divisor)
+
+
+def test_h0_window_matches_oracle_on_campaign_instances():
+    # The closed forms outside degrees [0, 2g - 2] and the start of the walk
+    # must give the oracle's value at every degree of the minimal window.
+    rng = random.Random(1987)
+    for _ in range(300):
+        curve = sample_curve(rng, rng.randint(1, 5))
+        divisor = sample_divisor(rng, curve)
+        cover = ComposedMap(rng.randint(1, 4))
+        n = cover.degree
+        seq = h0_sequence(divisor, cover)
+        assert seq == h0_sequence_of(pushforward(divisor, cover))
+        for l in range(seq.lo, seq.hi + 1):
+            assert seq.value_at(l) == rr_space_dim(divisor.shift_infinity(-n * l))
 
 
 def test_pushforward_euler_characteristic(genus3_curve):

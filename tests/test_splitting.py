@@ -132,6 +132,22 @@ def test_window_discovery_matches_minimal_window():
     assert found == h0_sequence_of(b)
 
 
+def test_window_discovery_from_a_start_inside_the_window():
+    b = SplittingType([2, 0, 0, -3])
+    table = {l: h0(twist(b, -l)) for l in range(-30, 30)}
+    expected = h0_sequence_from_callable(lambda l: table[l], 4)
+    for start in range(expected.lo, expected.hi + 1):
+        queried = []
+
+        def h0_of(l):
+            queried.append(l)
+            return table[l]
+
+        found = h0_sequence_from_callable(h0_of, 4, start=start)
+        assert found == expected
+        assert sorted(queried) == list(range(expected.lo, expected.hi + 1))
+
+
 @given(bundles)
 def test_riemann_roch_on_the_line(b):
     assert h0(b) - h1(b) == b.degree + b.rank
