@@ -12,21 +12,29 @@ Riemann-Roch space dimensions are computed by exact linear algebra:
    that vanishes at each support x-value, turning L(D) into the subspace
    of L(N * infinity) cut out by vanishing conditions, N = c_inf + 2*sum e;
 2. L(N * infinity) has the monomial basis x^i (pole order 2i) and x^j y
-   (pole order 2j + 2g + 1);
+   (pole order 2j + 2g + 1), no two of the same pole order;
 3. each vanishing condition is a coefficient of a truncated local power
    series of a basis monomial at an affected point;
 4. the dimension is the nullity of the resulting matrix over F_p.
+
+The conditions do not depend on the coefficient at infinity, so with the
+columns sorted by pole order the matrix of D - k*infinity is a column
+prefix of the matrix of D, and one elimination gives dim L(D - k*infinity)
+for every k (the reduced basis at infinity of F. Hess, J. Symbolic Comput.
+33 (2002)).
 
 Dimensions are invariant under base field extension, so these match the
 geometric values the splitting formulas refer to.
 
 Pushforward windows send only degrees in [0, 2g - 2] to this linear algebra
-(Riemann-Roch gives the rest) and start their walk at floor((d - g) / n), so
-the genus bounds how many dimensions they compute; nothing is memoized.
+(Riemann-Roch gives the rest), all of them through one pole-ordered
+elimination per window, and start their walk at floor((d - g) / n); nothing
+is memoized.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -46,7 +54,8 @@ from .expansions import (
     split_point_series,
     weierstrass_point_series,
 )
-from .linalg import MAX_PRIME, kernel_dim_mod_p
+from .linalg import MAX_PRIME, pivot_columns_mod_p
+from .linalg import kernel_dim_mod_p  # noqa: F401  (e2ebench/layers.py wraps this name)
 from .splitting import (
     CohSequence,
     SplittingType,
@@ -193,8 +202,18 @@ class Divisor:
     def degree(self) -> int:
         return self.at_infinity + sum(m for _, m in self.affine)
 
+    @classmethod
+    def _canonical(cls, curve: HyperellipticCurve, at_infinity: int, affine: tuple) -> "Divisor":
+        """A divisor from parts already in canonical form, which only
+        another divisor holds: skips validating and sorting the support."""
+        divisor = object.__new__(cls)
+        object.__setattr__(divisor, "curve", curve)
+        object.__setattr__(divisor, "at_infinity", at_infinity)
+        object.__setattr__(divisor, "affine", affine)
+        return divisor
+
     def shift_infinity(self, amount: int) -> "Divisor":
-        return Divisor(self.curve, self.at_infinity + amount, self.affine)
+        return Divisor._canonical(self.curve, self.at_infinity + int(amount), self.affine)
 
     def _require_same_curve(self, other: "Divisor") -> None:
         if self.curve != other.curve:
@@ -210,8 +229,8 @@ class Divisor:
         return Divisor(self.curve, self.at_infinity + other.at_infinity, merged)
 
     def __neg__(self) -> "Divisor":
-        return Divisor(self.curve, -self.at_infinity,
-                       tuple((pt, -m) for pt, m in self.affine))
+        return Divisor._canonical(self.curve, -self.at_infinity,
+                                  tuple((pt, -m) for pt, m in self.affine))
 
     def __sub__(self, other: "Divisor") -> "Divisor":
         if not isinstance(other, Divisor):
@@ -260,8 +279,15 @@ def _condition_rows(x_series, y_series, count, basis, p):
     return [[col[order] for col in cols] for order in range(count)]
 
 
-def rr_space_dim(divisor: Divisor) -> int:
-    """dim L(D) = h0 of the line bundle O(D) on the curve."""
+def rr_space_dims(divisor: Divisor, count: int) -> list[int]:
+    """[dim L(D - k*infinity) for k in range(count)].
+
+    These spaces share their affine conditions, so one condition matrix
+    serves them all.  Its columns are the basis monomials of
+    L(cap * infinity) sorted by pole order at infinity, and
+    L(D - k*infinity) is the kernel of the prefix of columns with pole
+    order <= cap - k.  One elimination gives the rank of every prefix.
+    """
     curve = divisor.curve
     p = curve.prime
     g = curve.genus
@@ -286,11 +312,12 @@ def rr_space_dim(divisor: Divisor) -> int:
 
     cap = divisor.at_infinity + pole_shift
     if cap < 0:
-        return 0
+        return [0] * count
 
-    basis = [(i, 0) for i in range(cap // 2 + 1)]
-    if cap >= 2 * g + 1:
-        basis += [(j, 1) for j in range((cap - (2 * g + 1)) // 2 + 1)]
+    # x^i has pole order 2i and x^j y has 2j + 2g + 1, so a pole order
+    # names at most one monomial.
+    poles = [q for q in range(cap + 1) if q % 2 == 0 or q >= 2 * g + 1]
+    basis = [(q // 2, 0) if q % 2 == 0 else ((q - 2 * g - 1) // 2, 1) for q in poles]
 
     rows: list[list[int]] = []
     for x0, ys, e, ramified in sites:
@@ -307,9 +334,18 @@ def rr_space_dim(divisor: Divisor) -> int:
                     xs, yser = split_point_series(curve.coeffs, x0, y0, needed + 1, p)
                     rows += _condition_rows(xs, yser, needed, basis, p)
 
-    if not rows:
-        return len(basis)
-    return kernel_dim_mod_p(np.array(rows, dtype=np.int64), p)
+    mat = np.array(rows, dtype=np.int64).reshape(len(rows), len(basis))
+    pivots = pivot_columns_mod_p(mat, p)
+    dims = []
+    for k in range(count):
+        cols = bisect_right(poles, cap - k)
+        dims.append(cols - bisect_left(pivots, cols))
+    return dims
+
+
+def rr_space_dim(divisor: Divisor) -> int:
+    """dim L(D) = h0 of the line bundle O(D) on the curve."""
+    return rr_space_dims(divisor, 1)[0]
 
 
 def linearly_equivalent(d1: Divisor, d2: Divisor) -> bool:
@@ -328,11 +364,16 @@ def h0_sequence(divisor: Divisor, cover: ComposedMap) -> CohSequence:
     """Dimensions l -> dim L(D - n*l*infinity), n = cover degree, over the
     minimal window needed to recover the direct image.
 
-    Riemann-Roch answers the degrees outside [0, 2g - 2].  The walk starts
-    at l = (d - g) // n, where deg >= g makes the value positive and which
-    is at least the smallest twist, so every probe lies in the window.
+    Riemann-Roch answers the degrees outside [0, 2g - 2]; one
+    ``rr_space_dims`` call at the smallest l that reaches them answers the
+    rest.  The walk starts at l = (d - g) // n, where deg >= g makes the
+    value positive and which is at least the smallest twist, so every
+    probe lies in the window.
     """
     n, d, g = cover.degree, divisor.degree, divisor.curve.genus
+    base = -((2 * g - 2 - d) // n)  # smallest l with deg <= 2g - 2
+    top = d - n * base
+    dims = rr_space_dims(divisor.shift_infinity(-n * base), top + 1) if top >= 0 else []
 
     def h0_at(l: int) -> int:
         deg = d - n * l
@@ -340,7 +381,7 @@ def h0_sequence(divisor: Divisor, cover: ComposedMap) -> CohSequence:
             return 0
         if deg > 2 * g - 2:
             return deg + 1 - g
-        return rr_space_dim(divisor.shift_infinity(-n * l))
+        return dims[n * (l - base)]
 
     return h0_sequence_from_callable(h0_at, n, start=(d - g) // n)
 
@@ -366,6 +407,16 @@ def is_exceptional_class(divisor: Divisor, cover: ComposedMap) -> bool:
     return rr_space_dim(divisor.shift_infinity(-n * q)) == 1
 
 
+def _int_field(text: str, term: str, form: str) -> int:
+    """``int(text)``, or a ValueError naming the term it came from."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(
+            f"malformed term {term!r}: {text.strip()!r} is not an integer; expected {form}"
+        ) from None
+
+
 def curve_from_string(text: str) -> HyperellipticCurve:
     """Parse "p=<prime>; f=<c_0>,...,<c_{2g+1}>" (coefficients low to high)."""
     prime = None
@@ -377,9 +428,9 @@ def curve_from_string(text: str) -> HyperellipticCurve:
         key, _, value = term.partition("=")
         key = key.strip()
         if key == "p":
-            prime = int(value)
+            prime = _int_field(value, term, "p=<prime>")
         elif key == "f":
-            coeffs = [int(c) for c in value.split(",")]
+            coeffs = [_int_field(c, term, "f=<c_0>,...,<c_{2g+1}>") for c in value.split(",")]
         else:
             raise ValueError(f"unknown curve field {key!r}; expected 'p' and 'f'")
     if prime is None or coeffs is None:
@@ -396,15 +447,16 @@ def divisor_from_string(curve: HyperellipticCurve, text: str) -> Divisor:
         if not term:
             continue
         if term.startswith("inf:"):
-            at_infinity += int(term[4:])
+            at_infinity += _int_field(term[4:], term, "inf:<c>")
         elif term.startswith("pt:"):
             body = term[3:]
             coords, _, mult = body.rpartition(":")
             if not coords:
                 raise ValueError(f"malformed point term {term!r}; expected pt:<x>,<y>:<mult>")
             xs, _, ys = coords.partition(",")
-            pt = curve.point(int(xs), int(ys))
-            affine[pt] = affine.get(pt, 0) + int(mult)
+            form = "pt:<x>,<y>:<mult>"
+            pt = curve.point(_int_field(xs, term, form), _int_field(ys, term, form))
+            affine[pt] = affine.get(pt, 0) + _int_field(mult, term, form)
         else:
             raise ValueError(
                 f"unknown divisor term {term!r}; expected inf:<c> or pt:<x>,<y>:<mult>"

@@ -1,14 +1,16 @@
-"""Dense linear algebra over a prime field: rank and kernel dimension.
+"""Dense linear algebra over a prime field: pivot columns, rank, nullity.
 
-Row reduction mod p is the hot inner loop of the Riemann-Roch oracle, so
-two interchangeable implementations live here: a numba-compiled
-elimination (the default) and a pure-numpy fallback.  Set
+The Riemann-Roch oracle eliminates with ``pivot_columns_mod_p``, a numpy
+row reduction whose pivot columns give the rank of every column prefix
+at once.  ``rank_mod_p``, behind ``kernel_dim_mod_p``, has two
+interchangeable implementations: a numba-compiled elimination (the
+default when numba imports) and the same numpy reduction.  Set
 
     PUSHFWD_BACKEND=numpy
 
-to force the fallback; ``numba`` selects the compiled kernel explicitly.
-Both require p to be prime and below 2**31 so products of residues stay
-inside int64.
+to force the numpy one; ``numba`` selects the compiled kernel explicitly.
+All of them require p to be prime and below 2**31 so products of
+residues stay inside int64.
 """
 
 from __future__ import annotations
@@ -20,10 +22,16 @@ import numpy as np
 MAX_PRIME = 2**31
 
 
-def rank_mod_p_numpy(mat: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over F_p, vectorized row reduction."""
+def pivot_columns_mod_p(mat: np.ndarray, p: int) -> list[int]:
+    """Pivot columns of ``mat`` over F_p, by left-to-right row reduction.
+
+    Column c is a pivot exactly when it is independent of the columns
+    before it, so the pivots below any t give the rank of the first t
+    columns.
+    """
     a = np.asarray(mat, dtype=np.int64) % p
     nrows, ncols = a.shape
+    pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -39,8 +47,14 @@ def rank_mod_p_numpy(mat: np.ndarray, p: int) -> int:
         below = np.nonzero(a[r + 1 :, c])[0] + r + 1
         if below.size:
             a[below] = (a[below] - a[below, c, None] * a[r]) % p
+        pivots.append(c)
         r += 1
-    return r
+    return pivots
+
+
+def rank_mod_p_numpy(mat: np.ndarray, p: int) -> int:
+    """Rank of an integer matrix over F_p, vectorized row reduction."""
+    return len(pivot_columns_mod_p(mat, p))
 
 
 try:

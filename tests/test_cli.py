@@ -6,6 +6,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from pushfwd import cli
 from pushfwd.campaigns import CampaignReport
 
@@ -137,6 +139,20 @@ def test_exit_code_two_on_bad_input():
 
     code, _, _ = run_cli("verify", "--campaign", "nonsense")
     assert code == 2
+
+
+@pytest.mark.parametrize("curve,divisor,term", [
+    ("p=five; f=0,1,0,0,0,1", "inf:1", "p=five"),
+    ("p=5; f=0,1,x,0,0,1", "inf:1", "f=0,1,x,0,0,1"),
+    ("p=5; f=0,1,0,0,0,1", "inf:two", "inf:two"),
+    ("p=5; f=0,1,0,0,0,1", "pt:a,2:1", "pt:a,2:1"),
+    ("p=5; f=0,1,0,0,0,1", "pt:2,2:x", "pt:2,2:x"),
+])
+def test_exit_code_two_names_a_non_integer_field(curve, divisor, term):
+    code, _, err = run_cli("hyper", "push", "--curve", curve, "--divisor", divisor, "--m", "1")
+    assert code == 2
+    assert repr(term) in err
+    assert "expected " + term.split("=")[0].split(":")[0] in err
 
 
 def test_exit_code_one_on_campaign_failure(monkeypatch, capsys):

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import pushfwd.hyperelliptic as hyperelliptic
 from pushfwd import (
     CharacteristicTwo,
     ComposedMap,
@@ -68,6 +69,10 @@ def test_divisor_canonicalization(genus2_curve):
     assert (d + (-d)).affine == ()
     assert (d - d).degree == 0
     assert d.shift_infinity(3).degree == 3
+    # shifts and negation keep the support canonical
+    assert d.shift_infinity(3) == Divisor(genus2_curve, 4, {p2: -1})
+    assert -d == Divisor(genus2_curve, -1, {p2: 1})
+    assert hash(-(-d)) == hash(d)
 
 
 def test_rr_dim_frozen_values(genus2_curve):
@@ -178,19 +183,65 @@ def test_pushforward_large_multiplicity_budget(genus2_curve):
     assert h0(image) == rr_space_dim(divisor)
 
 
-def test_h0_window_matches_oracle_on_campaign_instances():
-    # The closed forms outside degrees [0, 2g - 2] and the start of the walk
-    # must give the oracle's value at every degree of the minimal window.
+def campaign_instances():
     rng = random.Random(1987)
     for _ in range(300):
         curve = sample_curve(rng, rng.randint(1, 5))
-        divisor = sample_divisor(rng, curve)
-        cover = ComposedMap(rng.randint(1, 4))
+        yield sample_divisor(rng, curve), ComposedMap(rng.randint(1, 4))
+
+
+def deep_instances():
+    # Shaped like the benchmark's deep workload: large genus, many points of
+    # large multiplicity, so the window holds many oracle degrees.
+    rng = random.Random(2026)
+    p = 10007  # 3 mod 4: a square root of a residue r is r^((p+1)/4)
+    for _ in range(20):
+        curve = sample_curve(rng, rng.randint(10, 20), p)
+        support = {}
+        count = rng.randint(5, 10)
+        while len(support) < count:
+            x = rng.randrange(p)
+            rhs = curve.rhs(x)
+            if rhs and pow(rhs, (p - 1) // 2, p) == 1 and all(pt.x != x for pt in support):
+                y = pow(rhs, (p + 1) // 4, p)
+                mult = rng.choice([e for e in range(-10, 11) if e])
+                support[curve.point(x, rng.choice((y, -y)))] = mult
+        yield Divisor(curve, 0, support), ComposedMap(rng.randint(1, 2))
+
+
+@pytest.mark.parametrize("instances", [campaign_instances, deep_instances],
+                         ids=["campaign-sampler", "deep-scale"])
+def test_h0_window_matches_oracle_on_campaign_instances(instances):
+    # The closed forms outside degrees [0, 2g - 2], the start of the walk and
+    # the pole-ordered prefixes of one condition matrix must give the
+    # per-degree oracle's value at every degree of the minimal window.
+    for divisor, cover in instances():
         n = cover.degree
         seq = h0_sequence(divisor, cover)
         assert seq == h0_sequence_of(pushforward(divisor, cover))
         for l in range(seq.lo, seq.hi + 1):
             assert seq.value_at(l) == rr_space_dim(divisor.shift_infinity(-n * l))
+
+
+def test_one_elimination_per_pushforward(monkeypatch):
+    calls = []
+    eliminate = hyperelliptic.pivot_columns_mod_p
+
+    def counted(mat, p):
+        calls.append(mat.shape)
+        return eliminate(mat, p)
+
+    monkeypatch.setattr(hyperelliptic, "pivot_columns_mod_p", counted)
+    seen = set()
+    for divisor, cover in campaign_instances():
+        n, d, g = cover.degree, divisor.degree, divisor.curve.genus
+        # oracle degrees: l in [ceil((d - 2g + 2) / n), floor(d / n)]
+        oracle_range = -((2 * g - 2 - d) // n) <= d // n
+        calls.clear()
+        pushforward(divisor, cover)
+        assert len(calls) == (1 if oracle_range else 0), (divisor, cover)
+        seen.add(oracle_range)
+    assert seen == {True, False}
 
 
 def test_pushforward_euler_characteristic(genus3_curve):

@@ -1,15 +1,19 @@
-"""Both elimination backends against a brute-force nullspace count."""
+"""Both elimination backends against a brute-force nullspace count, and
+the pivot columns against the rank of every column prefix."""
 
 import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pushfwd.linalg import (
     HAVE_NUMBA,
     active_backend,
     kernel_dim_mod_p,
+    pivot_columns_mod_p,
     rank_mod_p_numba,
     rank_mod_p_numpy,
 )
@@ -67,6 +71,27 @@ def test_backends_agree_on_random_matrices():
                 dtype=np.int64,
             )
             assert rank_mod_p_numpy(mat, p) == rank_mod_p_numba(mat, p)
+
+
+@st.composite
+def matrices_mod_p(draw):
+    p = draw(st.sampled_from((3, 5, 7, 10007)))
+    nrows = draw(st.integers(0, 7))
+    ncols = draw(st.integers(0, 7))
+    all_zero = draw(st.integers(0, 3)) == 0  # about one matrix in four
+    entry = st.just(0) if all_zero else st.integers(-2 * p, 2 * p)
+    cells = draw(st.lists(entry, min_size=nrows * ncols, max_size=nrows * ncols))
+    return np.array(cells, dtype=np.int64).reshape(nrows, ncols), p
+
+
+@given(matrices_mod_p())
+@settings(max_examples=300, deadline=None)
+def test_pivots_count_the_rank_of_every_column_prefix(case):
+    mat, p = case
+    pivots = pivot_columns_mod_p(mat, p)
+    assert pivots == sorted(set(pivots))
+    for t in range(mat.shape[1] + 1):
+        assert sum(c < t for c in pivots) == rank_mod_p_numpy(mat[:, :t], p)
 
 
 def test_kernel_dim_edges():
