@@ -9,6 +9,12 @@ The two expansions the Riemann-Roch oracle needs live here:
   sign of y0;
 * at a ramification point of y (y0 = 0), the parameter is t = y and
   x - x0 is an even series in t obtained by inverting f(x0 + u) = t^2.
+
+Both read only the first prec coefficients of f(x0 + t), which
+``taylor_prefix`` computes by prec synthetic divisions by (x - x0) in
+O(prec * deg f).  The square root then costs O(prec^2) at a split point
+and the inversion about (prec / 2)^4 at a ramification point, where prec
+is at most the multiplicity plus one.
 """
 
 from __future__ import annotations
@@ -69,16 +75,21 @@ def poly_is_squarefree(coeffs, p: int) -> bool:
     return len(poly_gcd(coeffs, deriv, p)) == 1
 
 
-def poly_shift(coeffs, x0: int, p: int) -> list[int]:
-    """Coefficients of f(x0 + t) as a polynomial in t (Horner on t + x0)."""
-    out = [0]
-    for c in reversed(coeffs):
-        # out <- out * (t + x0) + c
-        shifted = [0] + out
-        for k in range(len(out)):
-            shifted[k] = (shifted[k] + out[k] * x0) % p
-        shifted[0] = (shifted[0] + c) % p
-        out = shifted
+def taylor_prefix(coeffs, x0: int, prec: int, p: int) -> list[int]:
+    """The first prec coefficients of f(x0 + t) as a polynomial in t.
+
+    The k-th is the remainder of the k-th synthetic division by (x - x0),
+    so prec passes of Horner's rule suffice and no k! is divided out.
+    """
+    high = [c % p for c in reversed(coeffs)]  # highest degree first
+    out = []
+    for _ in range(prec):
+        acc, quo = 0, []
+        for c in high:
+            acc = (acc * x0 + c) % p
+            quo.append(acc)
+        out.append(quo.pop() if quo else 0)
+        high = quo
     return out
 
 
@@ -147,8 +158,7 @@ def split_point_series(curve_poly, x0: int, y0: int, prec: int, p: int) -> tuple
     x_series[0] = x0 % p
     if prec > 1:
         x_series[1] = 1
-    shifted = poly_shift(curve_poly, x0, p)
-    y_series = sqrt_series(shifted, y0, prec, p)
+    y_series = sqrt_series(taylor_prefix(curve_poly, x0, prec, p), y0, prec, p)
     return x_series, y_series
 
 
@@ -158,8 +168,10 @@ def weierstrass_point_series(curve_poly, x0: int, prec: int, p: int) -> tuple[li
     x - x0 = u(t^2) where u inverts the shifted curve polynomial, so the
     x-series is even in t.
     """
-    shifted = poly_shift(curve_poly, x0, p)
     s_terms = (prec - 1) // 2 + 1
+    # Terms of degree >= s_terms vanish mod s^s_terms once composed with
+    # u(s) = O(s); the inversion reads the linear term, so keep two.
+    shifted = taylor_prefix(curve_poly, x0, max(2, s_terms), p)
     u = series_inverse_of_poly(shifted, s_terms, p)
     x_series = [0] * prec
     x_series[0] = x0 % p

@@ -14,7 +14,10 @@ Riemann-Roch space dimensions are computed by exact linear algebra:
 2. L(N * infinity) has the monomial basis x^i (pole order 2i) and x^j y
    (pole order 2j + 2g + 1), no two of the same pole order;
 3. each vanishing condition is a coefficient of a truncated local power
-   series of a basis monomial at an affected point;
+   series of a basis monomial at an affected point; with prec terms per
+   point (at most the multiplicity plus one) and N basis monomials, a
+   split point costs O(N * prec), since x(t) = x0 + t has two terms, and
+   a ramification point about half of O(N * prec^2);
 4. the dimension is the nullity of the resulting matrix over F_p.
 
 The conditions do not depend on the coefficient at infinity, so with the
@@ -50,10 +53,10 @@ from .errors import (
 from .expansions import (
     poly_eval,
     poly_is_squarefree,
-    series_mul,
     split_point_series,
     weierstrass_point_series,
 )
+from .expansions import series_mul  # noqa: F401  (e2ebench/layers.py wraps this name)
 from .linalg import MAX_PRIME, pivot_columns_mod_p
 from .linalg import kernel_dim_mod_p  # noqa: F401  (e2ebench/layers.py wraps this name)
 from .splitting import (
@@ -172,6 +175,12 @@ class CurvePoint:
         return self.kind == "affine" and self.y == 0
 
 
+def _sorted_support(merged: Mapping) -> tuple:
+    """The canonical affine part: nonzero multiplicities sorted by (x, y)."""
+    return tuple(sorted(((pt, m) for pt, m in merged.items() if m != 0),
+                        key=lambda item: (item[0].x, item[0].y)))
+
+
 @dataclass(frozen=True)
 class Divisor:
     """Integer coefficient at infinity plus finitely many affine points.
@@ -191,11 +200,7 @@ class Divisor:
         for pt, mult in raw:
             self.curve.validate_point(pt)
             merged[pt] = merged.get(pt, 0) + int(mult)
-        canonical = tuple(
-            sorted(((pt, m) for pt, m in merged.items() if m != 0),
-                   key=lambda item: (item[0].x, item[0].y))
-        )
-        object.__setattr__(self, "affine", canonical)
+        object.__setattr__(self, "affine", _sorted_support(merged))
         object.__setattr__(self, "at_infinity", int(self.at_infinity))
 
     @property
@@ -226,7 +231,8 @@ class Divisor:
         merged = dict(self.affine)
         for pt, m in other.affine:
             merged[pt] = merged.get(pt, 0) + m
-        return Divisor(self.curve, self.at_infinity + other.at_infinity, merged)
+        return Divisor._canonical(self.curve, self.at_infinity + other.at_infinity,
+                                  _sorted_support(merged))
 
     def __neg__(self) -> "Divisor":
         return Divisor._canonical(self.curve, -self.at_infinity,
@@ -266,17 +272,32 @@ def canonical_divisor(curve: HyperellipticCurve) -> Divisor:
 
 def _condition_rows(x_series, y_series, count, basis, p):
     """Rows forcing the first ``count`` series coefficients of each basis
-    monomial x^i y^j to vanish."""
-    prec = len(x_series)
-    max_i = max(i for i, _ in basis)
-    xpows = [[1] + [0] * (prec - 1)]
-    for _ in range(max_i):
-        xpows.append(series_mul(xpows[-1], x_series, prec, p))
-    cols = []
-    for i, j in basis:
-        s = xpows[i] if j == 0 else series_mul(xpows[i], y_series, prec, p)
-        cols.append(s)
-    return [[col[order] for col in cols] for order in range(count)]
+    monomial x^i y^j to vanish.
+
+    x^(i+1) and x^(i+1) y come from x^i and x^i y by multiplying through
+    the nonzero terms of x(t) only: two at a split point (x0 + t) and
+    about count / 2 at a ramification point (x(t) is even in t).  A split
+    site costs O(len(basis) * count), a ramified one about half of
+    O(len(basis) * count^2).
+    """
+    x0 = x_series[0]
+    terms = [(k, c) for k, c in enumerate(x_series[1:count], 1) if c]
+
+    def powers(first, n):
+        out = [first]
+        for _ in range(n - 1):
+            prev = out[-1]
+            acc = [x0 * b for b in prev]
+            for k, c in terms:
+                acc[k:] = [a + c * b for a, b in zip(acc[k:], prev)]
+            out.append([a % p for a in acc])
+        return out
+
+    n_y = sum(j for _, j in basis)
+    xpows = powers([1] + [0] * (count - 1), len(basis) - n_y)
+    ypows = powers(list(y_series[:count]), n_y)
+    cols = [xpows[i] if j == 0 else ypows[i] for i, j in basis]
+    return [list(row) for row in zip(*cols)]
 
 
 def rr_space_dims(divisor: Divisor, count: int) -> list[int]:

@@ -3,28 +3,70 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pushfwd.expansions import (
     poly_compose_series,
+    poly_divmod,
     poly_eval,
     poly_gcd,
     poly_is_squarefree,
-    poly_shift,
+    poly_trim,
     series_inverse_of_poly,
     series_mul,
     split_point_series,
     sqrt_series,
+    taylor_prefix,
     weierstrass_point_series,
 )
+from pushfwd.hyperelliptic import _condition_rows
 
 
-def test_poly_eval_and_shift():
+def test_poly_eval_and_taylor_prefix():
     p = 11
     f = [3, 0, 1, 2]  # 2x^3 + x^2 + 3
     for x0 in range(p):
-        shifted = poly_shift(f, x0, p)
+        shifted = taylor_prefix(f, x0, len(f), p)
         for t in range(p):
             assert poly_eval(shifted, t, p) == poly_eval(f, (x0 + t) % p, p)
+        # shorter prefixes are truncations, longer ones pad with zeros
+        for prec in range(1, 7):
+            assert taylor_prefix(f, x0, prec, p) == (shifted + [0, 0, 0])[:prec]
+    assert taylor_prefix([], 3, 2, p) == [0, 0]
+
+
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b))
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return poly_trim(out)
+
+
+@st.composite
+def divisions_mod_p(draw):
+    # Polynomials here are lists of residues (see pushfwd.expansions),
+    # trailing zeros allowed.
+    p = draw(st.sampled_from((3, 5, 10007)))
+    num = draw(st.lists(st.integers(0, p - 1), max_size=12))
+    den = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=8))
+    if not poly_trim(den):
+        den = den + [draw(st.integers(1, p - 1))]
+    return num, den, p
+
+
+@given(divisions_mod_p())
+@settings(max_examples=300, deadline=None)
+def test_poly_divmod_reconstructs_the_numerator(case):
+    num, den, p = case
+    quo, rem = poly_divmod(num, den, p)
+    back = _poly_mul(quo, den, p)
+    back += [0] * (len(rem) - len(back))
+    for i, r in enumerate(rem):
+        back[i] = (back[i] + r) % p
+    assert poly_trim(back) == poly_trim(num)
+    assert len(rem) < len(poly_trim(den))
 
 
 def test_gcd_and_squarefree():
@@ -57,10 +99,9 @@ def test_sqrt_series_squares_back():
             if y0 is None:
                 continue
             prec = 9
-            shifted = poly_shift(f, x0, p)
+            shifted = taylor_prefix(f, x0, prec, p)
             ys = sqrt_series(shifted, y0, prec, p)
-            square = series_mul(ys, ys, prec, p)
-            assert square == [c % p for c in shifted[:prec]] + [0] * (prec - len(shifted))
+            assert series_mul(ys, ys, prec, p) == shifted
             break
 
 
@@ -105,3 +146,93 @@ def test_weierstrass_point_series_satisfies_curve():
     rhs = poly_compose_series(f, xs, prec, p)
     assert lhs == rhs
     assert xs[0] == x0 and all(xs[k] == 0 for k in range(1, prec, 2))
+
+
+# Differential tests against the quadratic path: a full shift of f, dense
+# series products for every column.  The linear-cost builders must give
+# the same coefficients, at every prime, including precisions above p.
+
+def _reference_shift(coeffs, x0, p):
+    """All coefficients of f(x0 + t), by Horner on t + x0."""
+    out = [0]
+    for c in reversed(coeffs):
+        shifted = [0] + out
+        for k in range(len(out)):
+            shifted[k] = (shifted[k] + out[k] * x0) % p
+        shifted[0] = (shifted[0] + c) % p
+        out = shifted
+    return out
+
+
+def _reference_split(f, x0, y0, prec, p):
+    xs = [x0 % p] + [0] * (prec - 1)
+    if prec > 1:
+        xs[1] = 1
+    return xs, sqrt_series(_reference_shift(f, x0, p), y0, prec, p)
+
+
+def _reference_weierstrass(f, x0, prec, p):
+    s_terms = (prec - 1) // 2 + 1
+    u = series_inverse_of_poly(_reference_shift(f, x0, p), s_terms, p)
+    xs = [x0 % p] + [0] * (prec - 1)
+    for k in range(1, s_terms):
+        if 2 * k < prec:
+            xs[2 * k] = u[k]
+    ys = [0] * prec
+    if prec > 1:
+        ys[1] = 1
+    return xs, ys
+
+
+def _reference_rows(xs, ys, count, basis, p):
+    prec = len(xs)
+    xpows = [[1] + [0] * (prec - 1)]
+    for _ in range(max(i for i, _ in basis)):
+        xpows.append(series_mul(xpows[-1], xs, prec, p))
+    cols = [xpows[i] if j == 0 else series_mul(xpows[i], ys, prec, p) for i, j in basis]
+    return [[col[order] for col in cols] for order in range(count)]
+
+
+def _sqrt_mod(v, p):
+    return next((y for y in range(1, p) if y * y % p == v), None)
+
+
+def _curves_with_both_sites(rng, p, genus):
+    """Random squarefree monic f of degree 2g + 1 with a root r (a
+    ramification point) and a split point (x0, y0): yields (f, r, x0, y0)."""
+    while True:
+        r = rng.randrange(p)
+        h = [rng.randrange(p) for _ in range(2 * genus)] + [1]
+        f = [(-r * h[0]) % p] + [(h[k - 1] - r * h[k]) % p for k in range(1, len(h))] + [1]
+        if not poly_is_squarefree(f, p):
+            continue
+        split = [(x, _sqrt_mod(poly_eval(f, x, p), p)) for x in rng.sample(range(p), min(p, 20))]
+        split = [(x, y) for x, y in split if y is not None]
+        if split:
+            yield f, r, *split[0]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 10007])
+def test_point_series_match_the_full_shift(p):
+    rng = random.Random(p)
+    for genus in range(1, 7):
+        f, r, x0, y0 = next(_curves_with_both_sites(rng, p, genus))
+        for prec in range(1, 13):
+            assert split_point_series(f, x0, y0, prec, p) == _reference_split(f, x0, y0, prec, p)
+            assert weierstrass_point_series(f, r, prec, p) == _reference_weierstrass(f, r, prec, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 10007])
+def test_condition_rows_match_the_dense_products(p):
+    rng = random.Random(10 * p + 1)
+    for genus in range(1, 7):
+        f, r, x0, y0 = next(_curves_with_both_sites(rng, p, genus))
+        for prec in range(1, 13):
+            cap = rng.randrange(0, 4 * genus + 12)
+            poles = [q for q in range(cap + 1) if q % 2 == 0 or q >= 2 * genus + 1]
+            basis = [(q // 2, 0) if q % 2 == 0 else ((q - 2 * genus - 1) // 2, 1) for q in poles]
+            for xs, ys in (split_point_series(f, x0, y0, prec, p),
+                           weierstrass_point_series(f, r, prec, p)):
+                for count in {max(1, prec - 1), prec}:
+                    assert _condition_rows(xs, ys, count, basis, p) == \
+                        _reference_rows(xs, ys, count, basis, p)

@@ -75,6 +75,35 @@ def test_divisor_canonicalization(genus2_curve):
     assert hash(-(-d)) == hash(d)
 
 
+def test_divisor_sum_matches_the_validating_constructor(genus2_curve, genus3_curve):
+    rng = random.Random(4)
+    points = genus2_curve.affine_points()
+
+    def validated(at_infinity, terms):
+        merged = {}
+        for pt, m in terms:
+            merged[pt] = merged.get(pt, 0) + m
+        return Divisor(genus2_curve, at_infinity, list(merged.items()))
+
+    for _ in range(200):
+        a_terms = [(rng.choice(points), rng.randint(-3, 3)) for _ in range(rng.randint(0, 4))]
+        b_terms = [(rng.choice(points), rng.randint(-3, 3)) for _ in range(rng.randint(0, 4))]
+        a = validated(rng.randint(-5, 5), a_terms)
+        b = validated(rng.randint(-5, 5), b_terms)
+        total = a + b
+        assert total == validated(a.at_infinity + b.at_infinity, a_terms + b_terms)
+        assert a - b == validated(a.at_infinity - b.at_infinity,
+                                  a_terms + [(pt, -m) for pt, m in b_terms])
+        cancelled = a - a
+        assert cancelled == Divisor(genus2_curve) and cancelled.affine == ()
+        assert hash(a + b) == hash(b + a)
+    other = Divisor(genus3_curve, 1)
+    with pytest.raises(ValueError, match="different curves"):
+        Divisor(genus2_curve, 1) + other
+    with pytest.raises(ValueError, match="different curves"):
+        Divisor(genus2_curve, 1) - other
+
+
 def test_rr_dim_frozen_values(genus2_curve):
     zero = Divisor(genus2_curve)
     # pole-order count at infinity: 1, x, x^2, x^3, y
