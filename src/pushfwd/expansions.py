@@ -38,9 +38,18 @@ def poly_derivative(coeffs, p: int) -> list[int]:
     return poly_trim([(k * c) % p for k, c in enumerate(coeffs)][1:])
 
 
+def _residues(coeffs, p: int) -> list[int]:
+    return poly_trim([c % p for c in coeffs])
+
+
 def poly_divmod(num, den, p: int) -> tuple[list[int], list[int]]:
-    num = poly_trim(num)
-    den = poly_trim(den)
+    """(quotient, remainder) of num by den over F_p; the coefficients may
+    be any integers."""
+    return _divmod_residues(_residues(num, p), _residues(den, p), p)
+
+
+def _divmod_residues(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
+    """``poly_divmod`` of trimmed lists of residues."""
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     inv_lead = pow(den[-1], p - 2, p)
@@ -56,10 +65,11 @@ def poly_divmod(num, den, p: int) -> tuple[list[int], list[int]]:
 
 
 def poly_gcd(a, b, p: int) -> list[int]:
-    """Monic gcd over F_p."""
-    a, b = poly_trim(a), poly_trim(b)
+    """Monic gcd over F_p.  The inputs are reduced once; every remainder
+    of the Euclid loop is already a trimmed list of residues."""
+    a, b = _residues(a, p), _residues(b, p)
     while b:
-        _, r = poly_divmod(a, b, p)
+        _, r = _divmod_residues(a, b, p)
         a, b = b, r
     if a:
         inv = pow(a[-1], p - 2, p)

@@ -14,10 +14,13 @@ Riemann-Roch space dimensions are computed by exact linear algebra:
 2. L(N * infinity) has the monomial basis x^i (pole order 2i) and x^j y
    (pole order 2j + 2g + 1), no two of the same pole order;
 3. each vanishing condition is a coefficient of a truncated local power
-   series of a basis monomial at an affected point; with prec terms per
-   point (at most the multiplicity plus one) and N basis monomials, a
-   split point costs O(N * prec), since x(t) = x0 + t has two terms, and
-   a ramification point about half of O(N * prec^2);
+   series of a basis monomial at an affected point, prec of them at a
+   point (at most the multiplicity plus one); the series of all points
+   are stacked into one vector of length R = total conditions, and each
+   basis monomial is the previous one times x(t) over the whole stack,
+   so N basis monomials cost O(N * R) when every point is split
+   (x(t) = x0 + t) and one more pass per even term of x(t) at a
+   ramification point, about prec / 2 of them;
 4. the dimension is the nullity of the resulting matrix over F_p.
 
 The conditions do not depend on the coefficient at infinity, so with the
@@ -270,34 +273,58 @@ def canonical_divisor(curve: HyperellipticCurve) -> Divisor:
     return Divisor(curve, 2 * curve.genus - 2)
 
 
-def _condition_rows(x_series, y_series, count, basis, p):
-    """Rows forcing the first ``count`` series coefficients of each basis
-    monomial x^i y^j to vanish.
+def _condition_matrix(series, basis, p):
+    """The vanishing conditions of every site, one row per condition.
 
-    x^(i+1) and x^(i+1) y come from x^i and x^i y by multiplying through
-    the nonzero terms of x(t) only: two at a split point (x0 + t) and
-    about count / 2 at a ramification point (x(t) is even in t).  A split
-    site costs O(len(basis) * count), a ramified one about half of
-    O(len(basis) * count^2).
+    ``series`` holds one (x(t), y(t)) pair per site, truncated to the
+    number of coefficients that must vanish there.  Row o + k is the t^k
+    coefficient at the site whose rows start at o; column c is the basis
+    monomial basis[c] = x^i y^j.
+
+    The sites are stacked into vectors of length R = total rows, so each
+    column costs a few passes over R whatever the number of sites:
+    x^(i+1) is x0 * x^i plus, for each nonzero term c_k t^k of x(t), c_k
+    times x^i shifted down by k inside its own site.  x^(i+1) y comes
+    from x^i y the same way.  A split site has only the t term
+    (x = x0 + t), and a stack of split sites takes one pass per column;
+    a ramified site adds its even terms, about half its rows, one pass
+    each.
     """
-    x0 = x_series[0]
-    terms = [(k, c) for k, c in enumerate(x_series[1:count], 1) if c]
+    size = sum(len(xs) for xs, _ in series)
+    x0s: list[int] = []
+    one: list[int] = []
+    y: list[int] = []
+    shifts: dict[int, list[int]] = {}  # k -> c_k of x(t) on rows >= k into a site
+    for xs, ys in series:
+        start, n = len(x0s), len(xs)
+        x0s += [xs[0]] * n
+        one += [1] + [0] * (n - 1)
+        y += ys
+        for k in range(1, n):
+            if xs[k]:
+                shifts.setdefault(k, [0] * size)[start + k:start + n] = [xs[k]] * (n - k)
+    c1 = shifts.pop(1, [0] * size)
+    higher = sorted(shifts.items())
+
+    def times_x(v):
+        if not higher:
+            return [(x * a + c * b) % p for x, a, c, b in zip(x0s, v, c1, [0] + v)]
+        acc = [x * a + c * b for x, a, c, b in zip(x0s, v, c1, [0] + v)]
+        for k, ck in higher:
+            acc = [s + c * b for s, c, b in zip(acc, ck, [0] * k + v)]
+        return [s % p for s in acc]
 
     def powers(first, n):
         out = [first]
         for _ in range(n - 1):
-            prev = out[-1]
-            acc = [x0 * b for b in prev]
-            for k, c in terms:
-                acc[k:] = [a + c * b for a, b in zip(acc[k:], prev)]
-            out.append([a % p for a in acc])
+            out.append(times_x(out[-1]))
         return out
 
     n_y = sum(j for _, j in basis)
-    xpows = powers([1] + [0] * (count - 1), len(basis) - n_y)
-    ypows = powers(list(y_series[:count]), n_y)
+    xpows = powers(one, len(basis) - n_y)
+    ypows = powers(y, n_y)
     cols = [xpows[i] if j == 0 else ypows[i] for i, j in basis]
-    return [list(row) for row in zip(*cols)]
+    return np.array(cols, dtype=np.int64).reshape(len(basis), size).T
 
 
 def rr_space_dims(divisor: Divisor, count: int) -> list[int]:
@@ -340,23 +367,20 @@ def rr_space_dims(divisor: Divisor, count: int) -> list[int]:
     poles = [q for q in range(cap + 1) if q % 2 == 0 or q >= 2 * g + 1]
     basis = [(q // 2, 0) if q % 2 == 0 else ((q - 2 * g - 1) // 2, 1) for q in poles]
 
-    rows: list[list[int]] = []
+    series = []
     for x0, ys, e, ramified in sites:
         if ramified:
             needed = 2 * e - ys.get(0, 0)
             if needed > 0:
-                xs, yser = weierstrass_point_series(curve.coeffs, x0, needed + 1, p)
-                rows += _condition_rows(xs, yser, needed, basis, p)
+                series.append(weierstrass_point_series(curve.coeffs, x0, needed, p))
         else:
             some_y = next(iter(ys))
             for y0 in sorted({some_y, (-some_y) % p}):
                 needed = e - ys.get(y0, 0)
                 if needed > 0:
-                    xs, yser = split_point_series(curve.coeffs, x0, y0, needed + 1, p)
-                    rows += _condition_rows(xs, yser, needed, basis, p)
+                    series.append(split_point_series(curve.coeffs, x0, y0, needed, p))
 
-    mat = np.array(rows, dtype=np.int64).reshape(len(rows), len(basis))
-    pivots = pivot_columns_mod_p(mat, p)
+    pivots = pivot_columns_mod_p(_condition_matrix(series, basis, p), p)
     dims = []
     for k in range(count):
         cols = bisect_right(poles, cap - k)

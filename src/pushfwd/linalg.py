@@ -2,7 +2,13 @@
 
 The Riemann-Roch oracle eliminates with ``pivot_columns_mod_p``, a numpy
 row reduction whose pivot columns give the rank of every column prefix
-at once.  ``rank_mod_p``, behind ``kernel_dim_mod_p``, has two
+at once.  It defers reduction: each step reduces mod p only the pivot
+column (to find the pivot and the factors) and the pivot row, and takes
+f * row off the rows below unreduced.  Entries there grow by at most
+(p - 1)^2 per step from at most p - 1, and the block is reduced only when
+the tracked bound would pass 2**62, so int64 never overflows: at
+p = 10007 that never happens, near 2**31 it happens at every step.
+``rank_mod_p``, behind ``kernel_dim_mod_p``, has two
 interchangeable implementations: a numba-compiled elimination (the
 default when numba imports) and the same numpy reduction.  Set
 
@@ -27,26 +33,33 @@ def pivot_columns_mod_p(mat: np.ndarray, p: int) -> list[int]:
 
     Column c is a pivot exactly when it is independent of the columns
     before it, so the pivots below any t give the rank of the first t
-    columns.
+    columns.  ``mat`` is left as it is.  Reduction of the rows below the
+    pivot is deferred (see the module docstring).
     """
-    a = np.asarray(mat, dtype=np.int64) % p
+    # A C-order copy: the rows are what each step updates.
+    a = np.remainder(np.asarray(mat, dtype=np.int64), p, order="C")
     nrows, ncols = a.shape
+    step = (p - 1) ** 2
+    bound = p - 1  # largest |entry| left in the rows below the last pivot
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        col = a[r:, c] % p
+        nz = np.flatnonzero(col)
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        below = np.nonzero(a[r + 1 :, c])[0] + r + 1
-        if below.size:
-            a[below] = (a[below] - a[below, c, None] * a[r]) % p
+            col[[0, piv - r]] = col[[piv - r, 0]]
+        row = a[r, c + 1 :] % p * pow(int(col[0]), p - 2, p) % p
+        if bound + step > 2**62:
+            a[r + 1 :, c + 1 :] %= p
+            bound = p - 1
+        a[r + 1 :, c + 1 :] -= col[1:, None] * row
+        bound += step
         pivots.append(c)
         r += 1
     return pivots
@@ -61,7 +74,7 @@ try:
     from numba import njit
 
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # pragma: no cover - numba is the optional 'numba' extra
     HAVE_NUMBA = False
 
 if HAVE_NUMBA:

@@ -20,7 +20,7 @@ from pushfwd.expansions import (
     taylor_prefix,
     weierstrass_point_series,
 )
-from pushfwd.hyperelliptic import _condition_rows
+from pushfwd.hyperelliptic import _condition_matrix
 
 
 def test_poly_eval_and_taylor_prefix():
@@ -46,12 +46,13 @@ def _poly_mul(a, b, p):
 
 @st.composite
 def divisions_mod_p(draw):
-    # Polynomials here are lists of residues (see pushfwd.expansions),
-    # trailing zeros allowed.
+    # Coefficients need not be residues, trailing zeros are allowed, and
+    # the divisor's leading coefficient may be a nonzero multiple of p.
     p = draw(st.sampled_from((3, 5, 10007)))
-    num = draw(st.lists(st.integers(0, p - 1), max_size=12))
-    den = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=8))
-    if not poly_trim(den):
+    coeff = st.integers(-2 * p, 2 * p)
+    num = draw(st.lists(coeff, max_size=12))
+    den = draw(st.lists(coeff, min_size=1, max_size=8))
+    if not poly_trim([c % p for c in den]):
         den = den + [draw(st.integers(1, p - 1))]
     return num, den, p
 
@@ -60,13 +61,16 @@ def divisions_mod_p(draw):
 @settings(max_examples=300, deadline=None)
 def test_poly_divmod_reconstructs_the_numerator(case):
     num, den, p = case
+    num_res, den_res = (poly_trim([c % p for c in poly]) for poly in (num, den))
     quo, rem = poly_divmod(num, den, p)
-    back = _poly_mul(quo, den, p)
+    assert all(0 <= c < p for c in quo + rem)
+    back = _poly_mul(quo, den_res, p)
     back += [0] * (len(rem) - len(back))
     for i, r in enumerate(rem):
         back[i] = (back[i] + r) % p
-    assert poly_trim(back) == poly_trim(num)
-    assert len(rem) < len(poly_trim(den))
+    assert poly_trim(back) == num_res
+    assert len(rem) < len(den_res)
+    assert poly_gcd(num, den, p) == poly_gcd(num_res, den_res, p)
 
 
 def test_gcd_and_squarefree():
@@ -75,6 +79,10 @@ def test_gcd_and_squarefree():
     f = [2, 5, 4, 1]
     g = poly_gcd(f, [1, 1], p)
     assert g == [1, 1]
+    # inputs that are not residues: 3 = 0 and 6 = 1 mod 5
+    assert poly_gcd([f[0] + 5, f[1] - 10, f[2], f[3]], [6, 6], p) == [1, 1]
+    assert poly_divmod([0, 3], [0, 1], 3) == ([], [])
+    assert poly_divmod([1, 2, 1], [1, 3], 3) == ([1, 2, 1], [])
     assert not poly_is_squarefree(f, p)
     assert poly_is_squarefree([0, 1, 0, 0, 0, 1], p)  # x^5 + x over F_5
     # x^5 over F_5 has identically-zero derivative
@@ -149,8 +157,9 @@ def test_weierstrass_point_series_satisfies_curve():
 
 
 # Differential tests against the quadratic path: a full shift of f, dense
-# series products for every column.  The linear-cost builders must give
-# the same coefficients, at every prime, including precisions above p.
+# series products for every column of every site.  The linear-cost
+# builders must give the same coefficients, at every prime, including
+# precisions above p.
 
 def _reference_shift(coeffs, x0, p):
     """All coefficients of f(x0 + t), by Horner on t + x0."""
@@ -199,7 +208,8 @@ def _sqrt_mod(v, p):
 
 def _curves_with_both_sites(rng, p, genus):
     """Random squarefree monic f of degree 2g + 1 with a root r (a
-    ramification point) and a split point (x0, y0): yields (f, r, x0, y0)."""
+    ramification point) and split points (x0, y0), x0 distinct: yields
+    (f, r, [(x0, y0), ...])."""
     while True:
         r = rng.randrange(p)
         h = [rng.randrange(p) for _ in range(2 * genus)] + [1]
@@ -209,14 +219,15 @@ def _curves_with_both_sites(rng, p, genus):
         split = [(x, _sqrt_mod(poly_eval(f, x, p), p)) for x in rng.sample(range(p), min(p, 20))]
         split = [(x, y) for x, y in split if y is not None]
         if split:
-            yield f, r, *split[0]
+            yield f, r, split
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 10007])
 def test_point_series_match_the_full_shift(p):
     rng = random.Random(p)
     for genus in range(1, 7):
-        f, r, x0, y0 = next(_curves_with_both_sites(rng, p, genus))
+        f, r, split = next(_curves_with_both_sites(rng, p, genus))
+        x0, y0 = split[0]
         for prec in range(1, 13):
             assert split_point_series(f, x0, y0, prec, p) == _reference_split(f, x0, y0, prec, p)
             assert weierstrass_point_series(f, r, prec, p) == _reference_weierstrass(f, r, prec, p)
@@ -224,15 +235,26 @@ def test_point_series_match_the_full_shift(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 10007])
 def test_condition_rows_match_the_dense_products(p):
+    # The stacked matrix of several sites is the per-site rows, concatenated.
     rng = random.Random(10 * p + 1)
+    seen = set()
     for genus in range(1, 7):
-        f, r, x0, y0 = next(_curves_with_both_sites(rng, p, genus))
-        for prec in range(1, 13):
+        f, r, split = next(_curves_with_both_sites(rng, p, genus))
+        sites = [(x0, y) for x0, y0 in split[:3] for y in (y0, p - y0)]
+        for _ in range(12):
             cap = rng.randrange(0, 4 * genus + 12)
             poles = [q for q in range(cap + 1) if q % 2 == 0 or q >= 2 * genus + 1]
             basis = [(q // 2, 0) if q % 2 == 0 else ((q - 2 * genus - 1) // 2, 1) for q in poles]
-            for xs, ys in (split_point_series(f, x0, y0, prec, p),
-                           weierstrass_point_series(f, r, prec, p)):
-                for count in {max(1, prec - 1), prec}:
-                    assert _condition_rows(xs, ys, count, basis, p) == \
-                        _reference_rows(xs, ys, count, basis, p)
+            chosen = rng.sample(sites, rng.randint(0, len(sites)))
+            series = [split_point_series(f, x0, y0, rng.randint(1, 12), p) for x0, y0 in chosen]
+            ramified = rng.random() < 0.7
+            if ramified:  # a ramification point, anywhere in the stack
+                series.insert(rng.randint(0, len(series)),
+                              weierstrass_point_series(f, r, rng.randint(1, 12), p))
+            expected = [row for xs, ys in series
+                        for row in _reference_rows(xs, ys, len(xs), basis, p)]
+            mat = _condition_matrix(series, basis, p)
+            assert mat.shape == (len(expected), len(basis))
+            assert mat.tolist() == expected
+            seen.add((min(len(chosen), 2), ramified))
+    assert seen == {(k, w) for k in (0, 1, 2) for w in (False, True)}

@@ -1,5 +1,5 @@
 """Both elimination backends against a brute-force nullspace count, and
-the pivot columns against the rank of every column prefix."""
+the pivot columns against a plain elimination of every column prefix."""
 
 import itertools
 import random
@@ -73,25 +73,67 @@ def test_backends_agree_on_random_matrices():
             assert rank_mod_p_numpy(mat, p) == rank_mod_p_numba(mat, p)
 
 
+def reference_rank(rows, p):
+    """Rank over F_p by textbook Gaussian elimination on Python integers."""
+    rows = [[c % p for c in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        rows[rank] = [v * inv % p for v in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(v - f * w) % p for v, w in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+# 65537 and 1073741789 reduce the trailing block after many steps or a
+# few (bound + (p - 1)^2 passing 2**62), 2**31 - 1 after every step, the
+# small primes never.
+PRIMES = (3, 5, 7, 10007, 65537, 1073741789, 2**31 - 1)
+
+
 @st.composite
 def matrices_mod_p(draw):
-    p = draw(st.sampled_from((3, 5, 7, 10007)))
-    nrows = draw(st.integers(0, 7))
-    ncols = draw(st.integers(0, 7))
-    all_zero = draw(st.integers(0, 3)) == 0  # about one matrix in four
-    entry = st.just(0) if all_zero else st.integers(-2 * p, 2 * p)
-    cells = draw(st.lists(entry, min_size=nrows * ncols, max_size=nrows * ncols))
-    return np.array(cells, dtype=np.int64).reshape(nrows, ncols), p
+    # Entries come from a drawn Random: hypothesis favours small integers,
+    # which would never make the unreduced block grow near 2**62.
+    p = draw(st.sampled_from(PRIMES))
+    nrows = draw(st.integers(0, 12))
+    ncols = draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(("dense", "zero", "low rank")))
+    rng = draw(st.randoms(use_true_random=False))
+    if kind == "zero":
+        rows = [[0] * ncols for _ in range(nrows)]
+    elif kind == "dense":
+        rows = [[rng.randint(-2 * p, 2 * p) for _ in range(ncols)] for _ in range(nrows)]
+    else:
+        # A product through k < min(shape) inner columns, plus multiples of
+        # p: eliminating it must cancel rows exactly after the block has
+        # grown unreduced.
+        k = rng.randint(0, max(0, min(nrows, ncols) - 1))
+        left = [[rng.randrange(p) for _ in range(k)] for _ in range(nrows)]
+        right = [[rng.randrange(p) for _ in range(k)] for _ in range(ncols)]
+        rows = [[sum(a * b for a, b in zip(lrow, rcol)) % p + p * rng.randint(-1, 1)
+                 for rcol in right] for lrow in left]
+    return np.array(rows, dtype=np.int64).reshape(nrows, ncols), p
 
 
 @given(matrices_mod_p())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_pivots_count_the_rank_of_every_column_prefix(case):
     mat, p = case
+    before = mat.copy()
     pivots = pivot_columns_mod_p(mat, p)
+    assert np.array_equal(mat, before)
     assert pivots == sorted(set(pivots))
+    rows = mat.tolist()
     for t in range(mat.shape[1] + 1):
-        assert sum(c < t for c in pivots) == rank_mod_p_numpy(mat[:, :t], p)
+        assert sum(c < t for c in pivots) == reference_rank([row[:t] for row in rows], p)
 
 
 def test_kernel_dim_edges():
