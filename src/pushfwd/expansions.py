@@ -2,7 +2,7 @@
 
 Polynomials and series are plain lists of residues, index = degree.
 Series are truncated to a fixed length; all arithmetic is exact mod p.
-The two expansions the Riemann-Roch oracle needs live here:
+The two local expansions of a point of y^2 = f(x) live here:
 
 * at a point with two preimages over its x-value, the local parameter is
   t = x - x0 and y expands as the square root of f(x0 + t) with the chosen
@@ -12,9 +12,10 @@ The two expansions the Riemann-Roch oracle needs live here:
 
 Both read only the first prec coefficients of f(x0 + t), which
 ``taylor_prefix`` computes by prec synthetic divisions by (x - x0) in
-O(prec * deg f).  The square root then costs O(prec^2) at a split point
-and the inversion about (prec / 2)^4 at a ramification point, where prec
-is at most the multiplicity plus one.
+O(prec * deg f).  The square root then costs O(prec^2) and the inversion
+about (prec / 2)^4.  The Riemann-Roch oracle uses only the split-point
+expansion, with prec = |m(P) - m(iota P)| at a split x-value (an absent
+point has multiplicity 0); it needs no series at a ramification point.
 """
 
 from __future__ import annotations

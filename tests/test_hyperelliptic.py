@@ -212,6 +212,20 @@ def test_pushforward_large_multiplicity_budget(genus2_curve):
     assert h0(image) == rr_space_dim(divisor)
 
 
+def test_pushforward_weierstrass_multiplicity_budget(genus2_curve):
+    # Budget: 1.5 s for one pushforward of a multiplicity -801 ramification
+    # point, whose 801 conditions need no local series.
+    divisor = divisor_from_string(genus2_curve, "pt:0,0:-801")
+    cover = ComposedMap(1)
+    start = time.perf_counter()
+    image = pushforward(divisor, cover)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.5, f"took {elapsed:.2f}s"
+    assert image == SplittingType([-401, -403])
+    assert image.degree == divisor.degree + 1 - genus2_curve.genus - cover.degree
+    assert h0(image) == rr_space_dim(divisor) == 0
+
+
 def campaign_instances():
     rng = random.Random(1987)
     for _ in range(300):

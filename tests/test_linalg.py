@@ -1,5 +1,6 @@
 """Both elimination backends against a brute-force nullspace count, and
-the pivot columns against a plain elimination of every column prefix."""
+the pivots against a plain elimination of every column prefix and of
+every block of leading rows and columns."""
 
 import itertools
 import random
@@ -73,23 +74,30 @@ def test_backends_agree_on_random_matrices():
             assert rank_mod_p_numpy(mat, p) == rank_mod_p_numba(mat, p)
 
 
+def reference_prefix_ranks(rows, p, ncols):
+    """Ranks over F_p of the first t columns, t = 0 .. ncols, by textbook
+    Gaussian elimination on Python integers (rows swapped freely)."""
+    rows = [[c % p for c in row] for row in rows]
+    ranks = [0]
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is not None:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            inv = pow(rows[rank][c], p - 2, p)
+            rows[rank] = [v * inv % p for v in rows[rank]]
+            for i in range(len(rows)):
+                if i != rank and rows[i][c]:
+                    f = rows[i][c]
+                    rows[i] = [(v - f * w) % p for v, w in zip(rows[i], rows[rank])]
+            rank += 1
+        ranks.append(rank)
+    return ranks
+
+
 def reference_rank(rows, p):
     """Rank over F_p by textbook Gaussian elimination on Python integers."""
-    rows = [[c % p for c in row] for row in rows]
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], p - 2, p)
-        rows[rank] = [v * inv % p for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(v - f * w) % p for v, w in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    return reference_prefix_ranks(rows, p, len(rows[0]) if rows else 0)[-1]
 
 
 # 65537 and 1073741789 reduce the trailing block after many steps or a
@@ -128,12 +136,28 @@ def matrices_mod_p(draw):
 def test_pivots_count_the_rank_of_every_column_prefix(case):
     mat, p = case
     before = mat.copy()
-    pivots = pivot_columns_mod_p(mat, p)
+    pivots = [c for c, _ in pivot_columns_mod_p(mat, p)]
     assert np.array_equal(mat, before)
     assert pivots == sorted(set(pivots))
     rows = mat.tolist()
     for t in range(mat.shape[1] + 1):
         assert sum(c < t for c in pivots) == reference_rank([row[:t] for row in rows], p)
+
+
+@given(matrices_mod_p())
+@settings(max_examples=300, deadline=None)
+def test_leads_give_the_rank_of_every_block(case):
+    # rank(mat[:s, :t]) counts the pivots (c, r) with c < t and r < s, for
+    # every s and t: the leads are the rows of the rank profile matrix.
+    mat, p = case
+    nrows, ncols = mat.shape
+    pivots = pivot_columns_mod_p(mat, p)
+    leads = [r for _, r in pivots]
+    assert len(set(leads)) == len(leads) and all(0 <= r < nrows for r in leads)
+    rows = mat.tolist()
+    for s in range(nrows + 1):
+        ranks = reference_prefix_ranks(rows[:s], p, ncols)
+        assert [sum(c < t and r < s for c, r in pivots) for t in range(ncols + 1)] == ranks
 
 
 def test_kernel_dim_edges():

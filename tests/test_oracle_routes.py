@@ -1,0 +1,162 @@
+"""The oracle's Newton-coordinate y-block against the condition-matrix
+route of tests/reference_oracle.py: the same dimensions and the same h0
+windows, on every sampler the oracle's results have been checked on."""
+
+import importlib.util
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+import pushfwd.hyperelliptic as hyperelliptic
+from pushfwd import ComposedMap, Divisor, HyperellipticCurve, h0_sequence
+from pushfwd.campaigns import sample_curve, sample_divisor
+from pushfwd.expansions import poly_is_squarefree
+from reference_oracle import reference_rr_space_dims
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "e2ebench" / "workloads.py"
+
+
+def _benchmark_workloads():
+    spec = importlib.util.spec_from_file_location("e2ebench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    path = list(sys.path)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path  # the module puts the checkout's src first
+    return module
+
+
+def assert_same_as_reference(divisor, cover, monkeypatch):
+    """Equal rr_space_dims(D, 2g + 3) and equal h0 windows through either
+    route."""
+    count = 2 * divisor.curve.genus + 3
+    assert hyperelliptic.rr_space_dims(divisor, count) == \
+        reference_rr_space_dims(divisor, count), divisor
+    window = h0_sequence(divisor, cover)
+    with monkeypatch.context() as m:
+        m.setattr(hyperelliptic, "rr_space_dims", reference_rr_space_dims)
+        expected = h0_sequence(divisor, cover)
+    assert (window.lo, window.values) == (expected.lo, expected.values), (divisor, cover)
+
+
+def campaign_sampler():
+    for seed in range(1, 11):
+        rng = random.Random(seed)
+        for _ in range(300):
+            curve = sample_curve(rng, rng.randint(1, 5))
+            yield sample_divisor(rng, curve), ComposedMap(rng.randint(1, 4))
+
+
+def deep_pool():
+    # The benchmark's deep pool of seed 7331: 128 ops, genus 10-40.
+    deep = _benchmark_workloads().Deep(7331)
+    for ops in deep.pool:
+        for coeffs, points, m in ops:
+            curve = HyperellipticCurve(deep.PRIME, coeffs)
+            yield Divisor(curve, 0, {curve.point(x, y): e for (x, y), e in points}), ComposedMap(m)
+
+
+def sweep_session():
+    # One 250-query scan session of the benchmark's sweep, seed 7331.
+    sweep = _benchmark_workloads().Sweep(7331)
+    curve = HyperellipticCurve(sweep.PRIME, sweep.coeffs)
+    point = curve.point(*sweep.point)
+    for k, m, c0, sign, count in sweep.LINES:
+        cover = ComposedMap(m)
+        for i in range(count):
+            yield Divisor(curve, c0 + sign * i * cover.degree, {point: k}), cover
+
+
+def weierstrass_sampler():
+    # 100 instances per prime with a ramification point of multiplicity
+    # in [-12, 12] on top of the campaign sampler's divisor.
+    for p in (3, 5, 7, 11):
+        rng = random.Random(100 + p)
+        made = 0
+        while made < 100:
+            curve = sample_curve(rng, rng.randint(1, 3), p)
+            roots = [x for x in range(p) if curve.rhs(x) == 0]
+            if not roots:
+                continue
+            w = curve.point(rng.choice(roots), 0)
+            base = sample_divisor(rng, curve)
+            divisor = base + Divisor(curve, 0, {w: rng.randint(-12, 12)})
+            yield divisor, ComposedMap(rng.randint(1, 3))
+            made += 1
+
+
+def _sqrt(v, p):
+    if v == 0:
+        return 0
+    if p % 4 == 3:
+        y = pow(v, (p + 1) // 4, p)
+        return y if y * y % p == v else None
+    return next((y for y in range(1, p) if y * y % p == v), None)
+
+
+def _curve_with_root(rng, p, genus):
+    """A random curve y^2 = f(x) with f(r) = 0, and r."""
+    while True:
+        r = rng.randrange(p)
+        h = [rng.randrange(p) for _ in range(2 * genus)] + [1]
+        f = [(-r * h[0]) % p] + [(h[k - 1] - r * h[k]) % p for k in range(1, len(h))] + [1]
+        if poly_is_squarefree(f, p):
+            return HyperellipticCurve(p, f), r
+
+
+def _split_points(rng, curve, count):
+    """``count`` points with y != 0 at distinct x-values, or None when 50
+    draws of x find fewer."""
+    p, found = curve.prime, {}
+    for _ in range(50):
+        x = rng.randrange(p)
+        y = _sqrt(curve.rhs(x), p)
+        if y:
+            found[x] = curve.point(x, y)
+            if len(found) == count:
+                return list(found.values())
+    return None
+
+
+def conjugate_pairs():
+    # P and iota(P) both in the support: both multiplicities negative, both
+    # positive, and of mixed signs, with a ramification point and an
+    # unpaired point alongside, at small primes and near 2**31.
+    signs = ((-1, -1), (1, 1), (-1, 1), (1, -1))
+    for p in (5, 7, 11, 10007, 2**31 - 1):
+        rng = random.Random(p)
+        i = 0
+        while i < 60:
+            curve, r = _curve_with_root(rng, p, rng.randint(1, 4))
+            points = _split_points(rng, curve, 2)
+            if points is None:
+                continue
+            pair, single = points
+            s_here, s_there = signs[i % 4]
+            support = {
+                pair: s_here * rng.randint(1, 8),
+                curve.point(pair.x, -pair.y): s_there * rng.randint(1, 8),
+                single: rng.choice([e for e in range(-6, 7) if e]),
+            }
+            if i % 3:
+                support[curve.point(r, 0)] = rng.randint(-9, 9)
+            yield Divisor(curve, rng.randint(-10, 20), support), ComposedMap(rng.randint(1, 3))
+            i += 1
+
+
+SAMPLERS = {
+    "campaign-sampler": campaign_sampler,
+    "deep-pool": deep_pool,
+    "sweep-session": sweep_session,
+    "weierstrass": weierstrass_sampler,
+    "conjugate-pairs": conjugate_pairs,
+}
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS.values(), ids=SAMPLERS.keys())
+def test_newton_route_matches_the_condition_matrix(sampler, monkeypatch):
+    for divisor, cover in sampler():
+        assert_same_as_reference(divisor, cover, monkeypatch)
