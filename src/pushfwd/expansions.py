@@ -67,10 +67,24 @@ def _divmod_residues(num: list[int], den: list[int], p: int) -> tuple[list[int],
 
 def poly_gcd(a, b, p: int) -> list[int]:
     """Monic gcd over F_p.  The inputs are reduced once; every remainder
-    of the Euclid loop is already a trimmed list of residues."""
+    of the Euclid loop is already a trimmed list of residues.
+
+    A remainder one degree below its divisor, the usual case, is
+    a - (q1 x + q0) b with both quotient terms read off the leads, in one
+    pass; a larger degree drop goes through ``_divmod_residues``.
+    """
     a, b = _residues(a, p), _residues(b, p)
     while b:
-        _, r = _divmod_residues(a, b, p)
+        if len(a) == len(b) + 1:
+            inv = pow(b[-1], p - 2, p)
+            shifted = [0] + b
+            q1 = a[-1] * inv % p
+            q0 = (a[-2] - q1 * shifted[-2]) * inv % p
+            r = [(x - q1 * y - q0 * z) % p for x, y, z in zip(a, shifted, b)]
+            while r and not r[-1]:
+                r.pop()
+        else:
+            _, r = _divmod_residues(a, b, p)
         a, b = b, r
     if a:
         inv = pow(a[-1], p - 2, p)

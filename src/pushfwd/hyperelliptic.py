@@ -6,7 +6,7 @@ y pole order 2g + 1, and the canonical class is (2g - 2) * infinity.  The
 x-coordinate map is a degree-2 cover of the line pulling O(1) back to
 2 * infinity; composing with z -> z^m realizes every even map degree 2m.
 
-Riemann-Roch space dimensions are computed by exact linear algebra:
+Riemann-Roch space dimensions are computed exactly over F_p:
 
 1. clear the allowed affine poles of a divisor D with a polynomial d(x)
    that vanishes at each support x-value, turning L(D) into the functions
@@ -24,38 +24,41 @@ Riemann-Roch space dimensions are computed by exact linear algebra:
    k = floor(c / 2) of b, and V vanishes there when c is odd: no local
    series is needed.  V is the Hermite interpolant of these conditions,
    in Newton form;
-4. on the Newton basis N_i = (x - z_0) ... (x - z_(i-1)) of the nodes of
-   U (and of K for b), the congruences read as coordinates.  x^i -> N_i
-   and x^j y -> N_j y change the basis triangularly in pole order, so no
-   prefix rank changes, and the column of x^i becomes the unit vector e_i
-   (zero for i >= deg U).  Only the y-block, N_j y = (N_j V mod U, N_j
-   mod K) for j < deg U, is eliminated; each column is one bidiagonal
-   pass from the last, N_(j+1) = (x - z_j) N_j.  Its rows run from the
-   highest coordinate down, b-coordinates above all a-coordinates, and
-   the elimination reports each pivot's lead, its highest coordinate.
-   x^0 .. x^h clear the a-coordinates up to h, so the columns of pole
-   order <= q have rank min(q // 2 + 1, deg U) plus the number of
-   y-pivots j with 2j + 2g + 1 <= q and lead > q // 2, and the dimension
-   is their number minus that rank.
+4. b = 0 mod K and K | U force K | a, so the solutions are K times those
+   of a + b V = 0 mod U0, U0 = U / K, the product over the zero and data
+   nodes only; K shifts every pole order by 2 deg K, so cap' = cap -
+   2 deg K replaces cap.  The solutions (a, b) of a + b V = 0 mod U0 form
+   a rank-2 F_p[x]-module.  In a basis whose two elements have pole
+   orders o1 even (led by a) and o2 odd (led by b y) the leading terms of
+   c1 v1 + c2 v2 never cancel, so dim L(D - k*infinity) =
+   sum_o max(0, (q - o) // 2 + 1) with q = cap' - k (predictable degrees:
+   T. Mulders, A. Storjohann, J. Symbolic Comput. 35 (2003));
+5. the extended Euclid algorithm on r_0 = U0 and r_1 = V, stopped halfway
+   as in rational reconstruction, gives that basis: with n = deg U0, it
+   stops at the first r_i that is zero or has deg r_i + deg r_(i-1) <=
+   n + g, and with m = deg r_(i-1) the orders are o1 = 2m and o2 =
+   2 (n - m) + 2g + 1.  The remainders run in Newton coordinates on the
+   nodes of U0, where U0 = N_n is a unit vector, V is the interpolant's
+   coordinates and x N_i = N_(i+1) + z_i N_i; a step of quotient degree 1
+   is one fused pass.
 
-The R = deg U + deg K conditions cost O(R * deg f) for the local series,
-O(R^2) in R list passes for the interpolant, and at most
-min(#y-monomials, deg U) passes over R for the y-block, which is all that
-is eliminated.
+The R = deg U + deg K conditions cost O(R * deg f) for the local series;
+the deg U0 <= R nodes that remain after K is taken out cost O(deg U0^2),
+in about deg U0 list passes, for the interpolant and again for the
+remainder sequence.  Nothing is eliminated, and numpy is not used.
 
-The conditions do not depend on the coefficient at infinity, so with the
-columns sorted by pole order the matrix of D - k*infinity is a column
-prefix of the matrix of D, and one elimination gives dim L(D - k*infinity)
-for every k (the reduced basis at infinity of F. Hess, J. Symbolic Comput.
-33 (2002)).  The congruence a + b V = 0 mod U is the Mumford-form
-condition of D. G. Cantor, Math. Comp. 48 (1987), here without reduction.
+The conditions do not depend on the coefficient at infinity, so the two
+pole orders serve dim L(D - k*infinity) for every k (the reduced basis at
+infinity of F. Hess, J. Symbolic Comput. 33 (2002)).  The congruence
+a + b V = 0 mod U is the Mumford-form condition of D. G. Cantor, Math.
+Comp. 48 (1987), here without reduction.
 
 Dimensions are invariant under base field extension, so these match the
 geometric values the splitting formulas refer to.
 
-Pushforward windows send only degrees in [0, 2g - 2] to this linear algebra
-(Riemann-Roch gives the rest), all of them through one pole-ordered
-elimination per window, and start their walk at floor((d - g) / n); nothing
+Pushforward windows send only degrees in [0, 2g - 2] to this computation
+(Riemann-Roch gives the rest), all of them through one remainder
+sequence per window, and start their walk at floor((d - g) / n); nothing
 is memoized.
 """
 
@@ -63,8 +66,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Mapping
-
-import numpy as np
 
 from .errors import (
     CharacteristicTwo,
@@ -76,13 +77,14 @@ from .errors import (
 from .expansions import (
     poly_eval,
     poly_is_squarefree,
+    poly_trim,
     split_point_series,
 )
 from .expansions import (  # noqa: F401  (e2ebench/layers.py wraps these names)
     series_mul,
     weierstrass_point_series,
 )
-from .linalg import MAX_PRIME, pivot_columns_mod_p
+from .linalg import MAX_PRIME
 from .linalg import kernel_dim_mod_p  # noqa: F401  (e2ebench/layers.py wraps this name)
 from .splitting import (
     CohSequence,
@@ -338,13 +340,56 @@ def _newton_interpolant(sites, p):
     return nodes, coords
 
 
+def _basis_pole_orders(nodes, v, genus, p):
+    """Pole orders at infinity of a reduced basis of the solutions (a, b)
+    of a + b V = 0 mod U, where U = N_n is the product over the n
+    ``nodes`` and V = sum v_i N_i is given by its Newton coordinates.
+
+    Each row (r_i, -t_i) of the extended Euclid algorithm on r_0 = U and
+    r_1 = V, with r_i = s_i U + t_i V, is a solution, any two consecutive
+    rows are a basis, and deg t_i = n - deg r_(i-1).  The remainders run
+    in Newton coordinates, where x N_i = N_(i+1) + z_i N_i, until the
+    first r_i that is zero or has deg r_i + deg r_(i-1) <= n + g.  With
+    m = deg r_(i-1), row i - 1 then has the even pole order 2m of its a
+    and row i the odd pole order 2 (n - m) + 2g + 1 of its b y.
+    """
+    n = len(nodes)
+    prev, cur = [0] * n + [1], poly_trim(v)
+    while cur and len(prev) + len(cur) - 2 > n + genus:
+        db = len(cur) - 1
+        inv = pow(cur[-1], p - 2, p)
+        if len(prev) == len(cur) + 1:
+            # One quotient term per degree: r - c1 (x b) - c0 b in one pass.
+            shifted = [0] + cur
+            c1 = prev[-1] * inv % p
+            c0 = (prev[db] - c1 * (shifted[db] + nodes[db] * cur[db])) * inv % p
+            rem = [(a - c1 * (s + z * b) - c0 * b) % p
+                   for a, s, z, b in zip(prev, shifted, nodes, cur)]
+        else:
+            # A larger degree drop: x^k b for every quotient term, then one
+            # subtraction per term from the top; zip drops each cleared lead.
+            powers = [cur]
+            for _ in range(len(prev) - len(cur)):
+                b = powers[-1]
+                powers.append([(s + z * c) % p for s, z, c in zip([0] + b, nodes, b)] + [b[-1]])
+            rem = prev
+            for k in range(len(powers) - 1, -1, -1):
+                c = rem[db + k] * inv % p
+                rem = [(a - c * b) % p for a, b in zip(rem, powers[k])]
+        while rem and not rem[-1]:
+            rem.pop()
+        prev, cur = cur, rem
+    m = len(prev) - 1
+    return 2 * m, 2 * (n - m) + 2 * genus + 1
+
+
 def rr_space_dims(divisor: Divisor, count: int) -> list[int]:
     """[dim L(D - k*infinity) for k in range(count)].
 
-    These spaces share their affine conditions, so one condition matrix
-    serves them all; see the module docstring for how its columns and
-    rows are chosen and how one elimination of its y-block gives the rank
-    of every pole-order prefix.
+    These spaces share their affine conditions, so one reduced basis of
+    their solutions serves them all; see the module docstring for how the
+    conditions are stated and how the two pole orders of that basis give
+    every dimension.
     """
     curve = divisor.curve
     p = curve.prime
@@ -356,19 +401,18 @@ def rr_space_dims(divisor: Divisor, count: int) -> list[int]:
 
     # Pole clearing by (x - x0)^e per support x-value, and the zeros it
     # asks of a(x) + b(x) y there (module docstring, step 3).  The nodes of
-    # U are those of `zeros`, then of `data`, then `kept`, which are the
-    # nodes of K.
-    pole_shift = 0
+    # U0 are those of `zeros`, then of `data`; `kept` counts the nodes of K.
+    cap = divisor.at_infinity
     zeros = []  # (x0, [0]): V(x0) = 0
     data = []  # (x0, y0, n - k): V follows y at (x0, y0) to n - k terms
-    kept: list[int] = []
+    kept = 0
     for x0, ys in by_x.items():
         if 0 in ys:  # a support point has y = 0 exactly when f(x0) = 0
             e = max(0, (ys[0] + 1) // 2)
             needed = 2 * e - ys[0]
             if needed % 2:
                 zeros.append((x0, [0]))
-            kept += [x0] * (needed // 2)
+            kept += needed // 2
         else:
             # (x0, y0) needs `needed` zeros and (x0, -y0) `fewer`.
             y0 = next(iter(ys))
@@ -378,57 +422,19 @@ def rr_space_dims(divisor: Divisor, count: int) -> list[int]:
                 y0, needed, fewer = p - y0, fewer, needed
             if needed > fewer:
                 data.append((x0, y0, needed - fewer))
-            kept += [x0] * fewer
-        pole_shift += 2 * e
-
-    cap = divisor.at_infinity + pole_shift
+            kept += fewer
+        cap += 2 * e
+    # Every solution is K times one mod U0, of pole order 2 deg K less
+    # (module docstring, step 4).
+    cap -= 2 * kept
     if cap < 0:
         return [0] * count
 
     nodes, coords = _newton_interpolant(
         zeros + [(x0, split_point_series(curve.coeffs, x0, y0, d, p)[1]) for x0, y0, d in data], p)
-    nodes += kept
-    u = len(nodes)
-
-    # Column j of the y-block is N_j y in the coordinates (a + b V mod U,
-    # b mod K), each in Newton form on its own nodes; N_(j+1) = (x - z_j)
-    # N_j is one bidiagonal pass over each.  Columns j >= deg U vanish.
-    a = coords + [0] * len(kept)  # y itself: V
-    b = [1] + [0] * (len(kept) - 1) if kept else []
-    ncols = min(max(0, (cap - 2 * g - 1) // 2 + 1), u)
-    cols = []
-    for j in range(ncols):
-        if j:
-            zj = nodes[j - 1]
-            a = [((z - zj) * c + s) % p for z, c, s in zip(nodes, a, [0] + a)]
-            if b:
-                b = [((z - zj) * c + s) % p for z, c, s in zip(kept, b, [0] + b)]
-        cols.append(a + b)
-    rows = u + len(kept)
-    # Rows from the highest coordinate down, so a pivot's lead is its
-    # highest coordinate; b-coordinates (>= u) rank above every a-one.
-    block = np.array(cols, dtype=np.int64).reshape(ncols, rows)[:, ::-1].T
-    # y-pivot j adds to the rank of the prefix of pole order q = cap - k
-    # when its column is in (2j + 2g + 1 <= q) and x^0 .. x^(q // 2), the
-    # unit vectors of a-coordinates 0 .. q // 2, leave its lead (q < 2 lead):
-    # a run of k, kept as +1 at its start and -1 after its end.
-    runs = [0] * (count + 1)
-    for j, r in pivot_columns_mod_p(block, p):
-        lead = rows - 1 - r
-        first = max(0, cap - 2 * lead + 1) if lead < u else 0
-        last = min(count - 1, cap - 2 * j - 2 * g - 1)
-        if first <= last:
-            runs[first] += 1
-            runs[last + 1] -= 1
-
-    dims = []
-    rank_y = 0
-    for k in range(count):
-        rank_y += runs[k]
-        q = cap - k
-        columns = q // 2 + 1 + max(0, (q - 2 * g - 1) // 2 + 1)
-        dims.append(columns - min(q // 2 + 1, u) - rank_y if q >= 0 else 0)
-    return dims
+    orders = _basis_pole_orders(nodes, coords, g, p)
+    return [sum(max(0, (q - o) // 2 + 1) for o in orders)
+            for q in range(cap, cap - count, -1)]
 
 
 def rr_space_dim(divisor: Divisor) -> int:

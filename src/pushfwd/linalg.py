@@ -1,11 +1,14 @@
 """Dense linear algebra over a prime field: pivots, rank, nullity.
 
-The Riemann-Roch oracle eliminates with ``pivot_columns_mod_p``, a numpy
-column reduction that reports each pivot column with its lead, the first
-row where the reduced column is nonzero.  Rows are never moved, so the
-pivots give the rank of every block ``mat[:s, :t]`` at once (the rank
-profile matrix of J.-G. Dumas, C. Pernet, Z. Sultan, *Computing the rank
-profile matrix*, ISSAC 2015).  It defers reduction: each step reduces
+The Riemann-Roch oracle in ``hyperelliptic`` calls nothing here: a
+remainder sequence, not an elimination, gives its dimensions.
+``pivot_columns_mod_p`` is a numpy column reduction that reports each
+pivot column with its lead, the first row where the reduced column is
+nonzero; ``rank_mod_p_numpy`` and the condition-matrix reference route
+of the test suite (tests/reference_oracle.py) use it.  Rows are never
+moved, so the pivots give the rank of every block ``mat[:s, :t]`` at once
+(the rank profile matrix of J.-G. Dumas, C. Pernet, Z. Sultan, *Computing
+the rank profile matrix*, ISSAC 2015).  It defers reduction: each step reduces
 mod p only the pivot column (to find the lead) and the factors, and
 takes factor * column off the later columns unreduced.  Entries there
 grow by at most (p - 1)^2 per step from at most p - 1, and the block is

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pushfwd.expansions import (
@@ -87,6 +87,45 @@ def test_gcd_and_squarefree():
     assert poly_is_squarefree([0, 1, 0, 0, 0, 1], p)  # x^5 + x over F_5
     # x^5 over F_5 has identically-zero derivative
     assert not poly_is_squarefree([0, 0, 0, 0, 0, 1], p)
+
+
+def reference_gcd(a, b, p):
+    """Monic gcd by one full ``poly_divmod`` per Euclid step: the loop
+    ``poly_gcd`` had before it took the usual one-degree step in one pass."""
+    a, b = poly_trim([c % p for c in a]), poly_trim([c % p for c in b])
+    while b:
+        a, b = b, poly_divmod(a, b, p)[1]
+    if a:
+        inv = pow(a[-1], p - 2, p)
+        a = [(c * inv) % p for c in a]
+    return a
+
+
+@st.composite
+def gcd_inputs(draw):
+    # A common factor makes the gcd nontrivial, and frequent zero
+    # coefficients make remainders drop by more than one degree, at every
+    # size of prime.  Each product is lifted back into [-2p, 2p].
+    p = draw(st.sampled_from((3, 5, 7, 13, 10007, 2**31 - 1)))
+    coeff = st.one_of(st.just(0), st.integers(-2 * p, 2 * p))
+    common = draw(st.lists(coeff, max_size=4))
+    lift = st.integers(-1, 1)
+
+    def poly():
+        factor = draw(st.lists(coeff, max_size=9))
+        if not common:
+            return factor
+        return [c + draw(lift) * p for c in _poly_mul(factor, common, p)]
+
+    return poly(), poly(), p
+
+
+@given(gcd_inputs())
+@settings(max_examples=400, deadline=None)
+@example(([1, 0, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 1], 2**31 - 1))  # degrees 6, 5, 2, 1, 0
+def test_poly_gcd_matches_the_divmod_loop(case):
+    a, b, p = case
+    assert poly_gcd(a, b, p) == reference_gcd(a, b, p)
 
 
 def test_series_mul_truncation():

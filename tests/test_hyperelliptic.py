@@ -226,6 +226,25 @@ def test_pushforward_weierstrass_multiplicity_budget(genus2_curve):
     assert h0(image) == rr_space_dim(divisor) == 0
 
 
+@pytest.mark.parametrize("text, budget, expected", [
+    # K takes every kept zero out, so a lone ramification point leaves
+    # a single node and no remainder step.
+    ("pt:0,0:-4001", 1.0, [-2001, -2003]),
+    # 2000 nodes at one x-value: the local series, its interpolant and
+    # about 1000 remainder steps of one pass each.
+    ("pt:2,2:2000", 1.5, [999, 998]),
+], ids=["pt:0,0:-4001", "pt:2,2:2000"])
+def test_pushforward_unpaired_multiplicity_budgets(genus2_curve, text, budget, expected):
+    divisor = divisor_from_string(genus2_curve, text)
+    cover = ComposedMap(1)
+    start = time.perf_counter()
+    image = pushforward(divisor, cover)
+    elapsed = time.perf_counter() - start
+    assert elapsed < budget, f"took {elapsed:.2f}s"
+    assert image == SplittingType(expected)
+    assert image.degree == divisor.degree + 1 - genus2_curve.genus - cover.degree
+
+
 def campaign_instances():
     rng = random.Random(1987)
     for _ in range(300):
@@ -267,14 +286,15 @@ def test_h0_window_matches_oracle_on_campaign_instances(instances):
 
 
 def test_one_elimination_per_pushforward(monkeypatch):
+    # One remainder sequence per window gives its reduced basis.
     calls = []
-    eliminate = hyperelliptic.pivot_columns_mod_p
+    basis_pole_orders = hyperelliptic._basis_pole_orders
 
-    def counted(mat, p):
-        calls.append(mat.shape)
-        return eliminate(mat, p)
+    def counted(nodes, v, genus, p):
+        calls.append(len(nodes))
+        return basis_pole_orders(nodes, v, genus, p)
 
-    monkeypatch.setattr(hyperelliptic, "pivot_columns_mod_p", counted)
+    monkeypatch.setattr(hyperelliptic, "_basis_pole_orders", counted)
     seen = set()
     for divisor, cover in campaign_instances():
         n, d, g = cover.degree, divisor.degree, divisor.curve.genus

@@ -1,6 +1,7 @@
-"""The oracle's Newton-coordinate y-block against the condition-matrix
-route of tests/reference_oracle.py: the same dimensions and the same h0
-windows, on every sampler the oracle's results have been checked on."""
+"""The oracle's Newton-coordinate remainder sequence against the
+condition-matrix route of tests/reference_oracle.py: the same dimensions
+and the same h0 windows, on every sampler the oracle's results have been
+checked on."""
 
 import importlib.util
 import random
@@ -29,10 +30,9 @@ def _benchmark_workloads():
     return module
 
 
-def assert_same_as_reference(divisor, cover, monkeypatch):
-    """Equal rr_space_dims(D, 2g + 3) and equal h0 windows through either
+def assert_same_as_reference(divisor, cover, monkeypatch, count):
+    """Equal rr_space_dims(D, count) and equal h0 windows through either
     route."""
-    count = 2 * divisor.curve.genus + 3
     assert hyperelliptic.rr_space_dims(divisor, count) == \
         reference_rr_space_dims(divisor, count), divisor
     window = h0_sequence(divisor, cover)
@@ -147,16 +147,43 @@ def conjugate_pairs():
             i += 1
 
 
+def fuzz():
+    # 300 instances at primes from 3 to 2**31 - 1, genus 1-6: up to four
+    # split points, each with or without its conjugate, multiplicities in
+    # [-25, 25], and a degree from below 0 to above 2g - 2.
+    primes = (3, 5, 7, 11, 13, 10007, 2**31 - 1)
+    rng = random.Random(2718)
+    made = 0
+    while made < 300:
+        genus = rng.randint(1, 6)
+        curve = sample_curve(rng, genus, primes[made % len(primes)])
+        count = rng.randint(0, 4)
+        points = _split_points(rng, curve, count) if count else []
+        if points is None:
+            continue
+        support = {}
+        for pt in points:
+            support[pt] = rng.randint(-25, 25)
+            if rng.random() < 0.5:
+                support[curve.point(pt.x, -pt.y)] = rng.randint(-25, 25)
+        degree = rng.randint(-5, 5 * genus + 8)
+        at_infinity = degree - sum(support.values())
+        yield Divisor(curve, at_infinity, support), ComposedMap(rng.randint(1, 3))
+        made += 1
+
+
+# Each sampler with the number of dimensions compared per instance.
 SAMPLERS = {
-    "campaign-sampler": campaign_sampler,
-    "deep-pool": deep_pool,
-    "sweep-session": sweep_session,
-    "weierstrass": weierstrass_sampler,
-    "conjugate-pairs": conjugate_pairs,
+    "campaign-sampler": (campaign_sampler, lambda g: 2 * g + 3),
+    "deep-pool": (deep_pool, lambda g: 2 * g + 3),
+    "sweep-session": (sweep_session, lambda g: 2 * g + 3),
+    "weierstrass": (weierstrass_sampler, lambda g: 2 * g + 3),
+    "conjugate-pairs": (conjugate_pairs, lambda g: 2 * g + 3),
+    "fuzz": (fuzz, lambda g: 3 * g + 6),
 }
 
 
-@pytest.mark.parametrize("sampler", SAMPLERS.values(), ids=SAMPLERS.keys())
-def test_newton_route_matches_the_condition_matrix(sampler, monkeypatch):
+@pytest.mark.parametrize("sampler, count_of", SAMPLERS.values(), ids=SAMPLERS.keys())
+def test_newton_route_matches_the_condition_matrix(sampler, count_of, monkeypatch):
     for divisor, cover in sampler():
-        assert_same_as_reference(divisor, cover, monkeypatch)
+        assert_same_as_reference(divisor, cover, monkeypatch, count_of(divisor.curve.genus))
