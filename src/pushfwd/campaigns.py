@@ -226,6 +226,10 @@ def run_campaign(name: str, seed: int, trials: int,
         ) from None
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    if max_genus < 1:
+        raise ValueError(f"max_genus must be at least 1, got {max_genus}")
+    if max_m < 1:
+        raise ValueError(f"max_m must be at least 1, got {max_m}")
     rng = random.Random(seed)
     start = time.perf_counter()
     passed = failed = 0

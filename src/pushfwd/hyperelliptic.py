@@ -115,10 +115,11 @@ class HyperellipticCurve:
     def __init__(self, prime: int, coeffs: Iterable[int]):
         if prime == 2:
             raise CharacteristicTwo("the model y^2 = f(x) needs an odd characteristic")
-        if not _is_prime(prime):
-            raise ValueError(f"field modulus must be prime, got {prime}")
+        # Size first: trial division up to sqrt(p) never ends for a large p.
         if prime >= MAX_PRIME:
             raise ValueError(f"field modulus must be below 2**31, got {prime}")
+        if not _is_prime(prime):
+            raise ValueError(f"field modulus must be prime, got {prime}")
         cs = tuple(int(c) % prime for c in coeffs)
         if len(cs) < 4 or len(cs) % 2 != 0:
             raise ValueError(

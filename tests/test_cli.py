@@ -15,7 +15,7 @@ from pushfwd.campaigns import CampaignReport
 def run_cli(*argv):
     proc = subprocess.run(
         [sys.executable, "-m", "pushfwd", *argv],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=60,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -139,6 +139,17 @@ def test_exit_code_two_on_bad_input():
 
     code, _, _ = run_cli("verify", "--campaign", "nonsense")
     assert code == 2
+
+    # 2**61 - 1 is prime: the size check must come before trial division.
+    code, _, err = run_cli("hyper", "push", "--curve", "p=2305843009213693951; f=0,1,0,1",
+                           "--divisor", "inf:1", "--m", "1")
+    assert code == 2
+    assert "below 2**31" in err
+
+    for flag, name in (("--max-genus", "max_genus"), ("--max-m", "max_m")):
+        code, _, err = run_cli("verify", "--campaign", "duality", flag, "0")
+        assert code == 2
+        assert f"{name} must be at least 1" in err
 
 
 @pytest.mark.parametrize("curve,divisor,term", [

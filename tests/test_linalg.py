@@ -1,6 +1,6 @@
-"""Both elimination backends against a brute-force nullspace count, and
-the pivots against a plain elimination of every column prefix and of
-every block of leading rows and columns."""
+"""The nullity against a brute-force nullspace count, and the pivots
+against a plain elimination of every column prefix and of every block of
+leading rows and columns."""
 
 import itertools
 import random
@@ -15,11 +15,11 @@ from pushfwd.linalg import (
     active_backend,
     kernel_dim_mod_p,
     pivot_columns_mod_p,
-    rank_mod_p_numba,
-    rank_mod_p_numpy,
 )
 
-BACKENDS = [rank_mod_p_numpy] + ([rank_mod_p_numba] if HAVE_NUMBA else [])
+
+def rank(mat, p):
+    return mat.shape[1] - kernel_dim_mod_p(mat, p)
 
 
 def brute_force_nullity(mat, p):
@@ -36,18 +36,16 @@ def brute_force_nullity(mat, p):
     return dim
 
 
-@pytest.mark.parametrize("rank_fn", BACKENDS)
-def test_rank_known_matrices(rank_fn):
+def test_rank_known_matrices():
     p = 7
-    assert rank_fn(np.array([[1, 2], [2, 4]], dtype=np.int64), p) == 1
-    assert rank_fn(np.array([[1, 0], [0, 1]], dtype=np.int64), p) == 2
-    assert rank_fn(np.zeros((3, 3), dtype=np.int64), p) == 0
+    assert rank(np.array([[1, 2], [2, 4]], dtype=np.int64), p) == 1
+    assert rank(np.array([[1, 0], [0, 1]], dtype=np.int64), p) == 2
+    assert rank(np.zeros((3, 3), dtype=np.int64), p) == 0
     # 7 = 0 mod 7: a matrix invertible over the integers can drop rank
-    assert rank_fn(np.array([[7, 1], [14, 2]], dtype=np.int64), p) == 1
+    assert rank(np.array([[7, 1], [14, 2]], dtype=np.int64), p) == 1
 
 
-@pytest.mark.parametrize("rank_fn", BACKENDS)
-def test_rank_matches_brute_force(rank_fn):
+def test_rank_matches_brute_force():
     rng = random.Random(5)
     for p in (3, 5):
         for _ in range(25):
@@ -57,21 +55,7 @@ def test_rank_matches_brute_force(rank_fn):
                 [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)],
                 dtype=np.int64,
             )
-            assert ncols - rank_fn(mat, p) == brute_force_nullity(mat, p)
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-def test_backends_agree_on_random_matrices():
-    rng = random.Random(17)
-    for p in (5, 10007):
-        for _ in range(20):
-            nrows = rng.randint(1, 12)
-            ncols = rng.randint(1, 12)
-            mat = np.array(
-                [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)],
-                dtype=np.int64,
-            )
-            assert rank_mod_p_numpy(mat, p) == rank_mod_p_numba(mat, p)
+            assert kernel_dim_mod_p(mat, p) == brute_force_nullity(mat, p)
 
 
 def reference_prefix_ranks(rows, p, ncols):
@@ -169,21 +153,5 @@ def test_kernel_dim_edges():
 
 
 def test_active_backend_name():
-    assert active_backend() in ("numba", "numpy")
-
-
-@pytest.mark.parametrize("env_value,expected", [("numpy", "numpy"), ("numba", "numba")])
-def test_env_flag_selects_backend(env_value, expected):
-    if env_value == "numba" and not HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    import os
-    import subprocess
-    import sys
-
-    env = dict(os.environ, PUSHFWD_BACKEND=env_value)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from pushfwd.linalg import active_backend; print(active_backend())"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == expected
+    assert active_backend() == "numpy"
+    assert HAVE_NUMBA is False
