@@ -16,6 +16,7 @@ from .genus0 import direct_image_g0, direct_image_g0_bundle, g0_oracle_sequence
 from .genus1 import AtiyahBundleSpec, direct_image_g1
 from .hyperelliptic import (
     ComposedMap,
+    CurvePoint,
     Divisor,
     HyperellipticCurve,
     canonical_divisor,
@@ -78,10 +79,10 @@ def sample_divisor(rng: random.Random, curve: HyperellipticCurve) -> Divisor:
     affine points with multiplicities in [-2, 2]."""
     g = curve.genus
     at_inf = rng.randint(-(2 * g + 2), 2 * g + 2)
-    points = curve.affine_points()
-    count = rng.randint(0, min(3, len(points)))
-    chosen = rng.sample(points, count)
-    affine = {pt: rng.choice((-2, -1, 1, 2)) for pt in chosen}
+    coords = curve.affine_coordinates()
+    count = rng.randint(0, min(3, len(coords)))
+    chosen = rng.sample(coords, count)
+    affine = {CurvePoint("affine", x, y): rng.choice((-2, -1, 1, 2)) for x, y in chosen}
     return Divisor(curve, at_inf, affine)
 
 
@@ -155,7 +156,7 @@ def _duality_instance(rng, max_genus, max_m):
 
 
 def _stabilization_instance(rng, max_genus, max_m):
-    g = rng.randint(2, max(2, max_genus))
+    g = rng.randint(2, max_genus)
     curve = sample_curve(rng, g)
     divisor = sample_divisor(rng, curve)
     cover = ComposedMap(rng.randint(1, max_m))
@@ -183,7 +184,7 @@ def _stabilization_instance(rng, max_genus, max_m):
 def _composition_instance(rng, max_genus, max_m):
     curve = sample_curve(rng, rng.randint(1, max_genus))
     divisor = sample_divisor(rng, curve)
-    exponent = rng.randint(2, max(2, max_m))
+    exponent = rng.randint(2, max_m)
     one_shot = pushforward(divisor, ComposedMap(exponent))
     staged = direct_image_g0_bundle(exponent, pushforward(divisor, ComposedMap(1)))
     inputs = {"curve": curve.to_string(), "divisor": divisor_to_string(divisor),
@@ -230,6 +231,12 @@ def run_campaign(name: str, seed: int, trials: int,
         raise ValueError(f"max_genus must be at least 1, got {max_genus}")
     if max_m < 1:
         raise ValueError(f"max_m must be at least 1, got {max_m}")
+    if name == "stabilization" and max_genus < 2:
+        raise ValueError(f"campaign stabilization samples genus 2 and up: "
+                         f"max_genus must be at least 2, got {max_genus}")
+    if name == "composition" and max_m < 2:
+        raise ValueError(f"campaign composition samples m 2 and up: "
+                         f"max_m must be at least 2, got {max_m}")
     rng = random.Random(seed)
     start = time.perf_counter()
     passed = failed = 0

@@ -53,7 +53,7 @@ def _divmod_residues(num: list[int], den: list[int], p: int) -> tuple[list[int],
     """``poly_divmod`` of trimmed lists of residues."""
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(den[-1], p - 2, p)
+    inv_lead = pow(den[-1], -1, p)  # a trimmed lead
     quo = [0] * max(0, len(num) - len(den) + 1)
     rem = list(num)
     for k in range(len(num) - len(den), -1, -1):
@@ -76,7 +76,7 @@ def poly_gcd(a, b, p: int) -> list[int]:
     a, b = _residues(a, p), _residues(b, p)
     while b:
         if len(a) == len(b) + 1:
-            inv = pow(b[-1], p - 2, p)
+            inv = pow(b[-1], -1, p)  # a trimmed lead
             shifted = [0] + b
             q1 = a[-1] * inv % p
             q0 = (a[-2] - q1 * shifted[-2]) * inv % p
@@ -87,7 +87,7 @@ def poly_gcd(a, b, p: int) -> list[int]:
             _, r = _divmod_residues(a, b, p)
         a, b = b, r
     if a:
-        inv = pow(a[-1], p - 2, p)
+        inv = pow(a[-1], -1, p)
         a = [(c * inv) % p for c in a]
     return a
 
@@ -146,7 +146,7 @@ def sqrt_series(poly, y0: int, prec: int, p: int) -> list[int]:
     if y0 == 0:
         raise ValueError("square-root expansion needs a nonzero constant term")
     out = [y0] + [0] * (prec - 1)
-    inv = pow(2 * y0 % p, p - 2, p)
+    inv = pow(2 * y0, -1, p)  # p is odd and y0 nonzero
     for k in range(1, prec):
         conv = 0
         for i in range(1, k):

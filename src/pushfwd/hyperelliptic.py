@@ -37,15 +37,19 @@ Riemann-Roch space dimensions are computed exactly over F_p:
    as in rational reconstruction, gives that basis: with n = deg U0, it
    stops at the first r_i that is zero or has deg r_i + deg r_(i-1) <=
    n + g, and with m = deg r_(i-1) the orders are o1 = 2m and o2 =
-   2 (n - m) + 2g + 1.  The remainders run in Newton coordinates on the
-   nodes of U0, where U0 = N_n is a unit vector, V is the interpolant's
-   coordinates and x N_i = N_(i+1) + z_i N_i; a step of quotient degree 1
-   is one fused pass.
+   2 (n - m) + 2g + 1.  When n <= g + 1, deg V < n stops it at once:
+   the orders are 2n and 2g + 1, and no series or interpolant is built.
+   Otherwise the quotients it takes depend only on the coefficients of
+   degree > g (see ``_basis_pole_orders``), so it runs on the Newton
+   coordinates above the lowest g + 1, where U0 = N_n is a unit vector,
+   V is the interpolant's coordinates and x N_i = N_(i+1) + z_i N_i; a
+   step of quotient degree 1 is one fused pass.
 
 The R = deg U + deg K conditions cost O(R * deg f) for the local series;
 the deg U0 <= R nodes that remain after K is taken out cost O(deg U0^2),
-in about deg U0 list passes, for the interpolant and again for the
-remainder sequence.  Nothing is eliminated, and numpy is not used.
+in about deg U0 list passes, for the interpolant, and O((deg U0 - g)^2)
+for the remainder sequence.  When deg U0 <= g + 1 none of this is done.
+Nothing is eliminated, and numpy is not used.
 
 The conditions do not depend on the coefficient at infinity, so the two
 pole orders serve dim L(D - k*infinity) for every k (the reduced basis at
@@ -57,14 +61,16 @@ Dimensions are invariant under base field extension, so these match the
 geometric values the splitting formulas refer to.
 
 Pushforward windows send only degrees in [0, 2g - 2] to this computation
-(Riemann-Roch gives the rest), all of them through one remainder
-sequence per window, and start their walk at floor((d - g) / n); nothing
-is memoized.
+(Riemann-Roch gives the rest).  The first such probe of a window computes
+cap' and the two orders, every later probe reads its dimension from
+them, and the walk starts at floor((d - g) / n); nothing is memoized
+across calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -105,6 +111,16 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+@lru_cache(maxsize=8)
+def _square_roots(p: int) -> dict[int, tuple[int, ...]]:
+    """Each square mod the odd prime p with its square roots, ascending.
+    Callers only read it."""
+    roots = {0: (0,)}
+    for y in range(1, (p + 1) // 2):
+        roots[y * y % p] = (y, p - y)
+    return roots
 
 
 class HyperellipticCurve:
@@ -163,17 +179,18 @@ class HyperellipticCurve:
             raise ValueError("only affine points can carry divisor multiplicities here")
         self.point(pt.x, pt.y)
 
-    def affine_points(self) -> list["CurvePoint"]:
-        """All F_p-rational affine points."""
+    def affine_coordinates(self) -> list[tuple[int, int]]:
+        """(x, y) of every F_p-rational affine point, by x and then y."""
         p = self.prime
-        roots: dict[int, list[int]] = {}
-        for y in range(p):
-            roots.setdefault(y * y % p, []).append(y)
-        pts = []
-        for x in range(p):
-            for y in roots.get(self.rhs(x), ()):
-                pts.append(CurvePoint("affine", x, y))
-        return pts
+        values = [0] * p  # f(x) for x = 0, ..., p - 1, by Horner's rule
+        for c in reversed(self.coeffs):
+            values = [(v * x + c) % p for x, v in enumerate(values)]
+        roots = _square_roots(p)
+        return [(x, y) for x, v in enumerate(values) for y in roots.get(v, ())]
+
+    def affine_points(self) -> list["CurvePoint"]:
+        """All F_p-rational affine points, by x and then y."""
+        return [CurvePoint("affine", x, y) for x, y in self.affine_coordinates()]
 
     def to_string(self) -> str:
         return f"p={self.prime}; f={','.join(str(c) for c in self.coeffs)}"
@@ -309,7 +326,8 @@ def _newton_interpolant(sites, p):
     coordinates W of a site solve V + N * W = target there, one series
     division by the unit N(x0 + t); each of its nodes then updates both
     vectors, V += c N and N *= (x - x0), in one pass each over the later
-    sites' terms.
+    sites' terms.  The last site has none to update, so a single site's
+    coordinates are its target.
     """
     xs: list[int] = []
     within: list[int] = []  # 0 where the t-shift would cross into a site
@@ -326,16 +344,17 @@ def _newton_interpolant(sites, p):
         v, n, within = v[d:], n[d:], within[d:]
         dx = [x - x0 for x in xs[d:]]
         xs = xs[d:]
-        inv = pow(here_n[0], p - 2, p)
+        inv = pow(here_n[0], -1, p)  # N(x0) != 0: the sites' x0 are distinct
         higher = [(i, a) for i, a in enumerate(here_n) if i and a]
         w: list[int] = []
         for k in range(d):
             acc = target[k] - here_v[k] - sum(a * w[k - i] for i, a in higher if i <= k)
             w.append(acc * inv % p)
-        for c in w:
-            if c:
-                v = [a + c * b for a, b in zip(v, n)]  # reduced when read
-            n = [(x * a + s * b) % p for x, a, s, b in zip(dx, n, within, [0] + n)]
+        if xs:
+            for c in w:
+                if c:
+                    v = [a + c * b for a, b in zip(v, n)]  # reduced when read
+                n = [(x * a + s * b) % p for x, a, s, b in zip(dx, n, within, [0] + n)]
         nodes += [x0] * d
         coords += w
     return nodes, coords
@@ -343,22 +362,33 @@ def _newton_interpolant(sites, p):
 
 def _basis_pole_orders(nodes, v, genus, p):
     """Pole orders at infinity of a reduced basis of the solutions (a, b)
-    of a + b V = 0 mod U, where U = N_n is the product over the n
+    of a + b V = 0 mod U, where U = N_n is the product over the n > g + 1
     ``nodes`` and V = sum v_i N_i is given by its Newton coordinates.
 
     Each row (r_i, -t_i) of the extended Euclid algorithm on r_0 = U and
     r_1 = V, with r_i = s_i U + t_i V, is a solution, any two consecutive
-    rows are a basis, and deg t_i = n - deg r_(i-1).  The remainders run
-    in Newton coordinates, where x N_i = N_(i+1) + z_i N_i, until the
-    first r_i that is zero or has deg r_i + deg r_(i-1) <= n + g.  With
-    m = deg r_(i-1), row i - 1 then has the even pole order 2m of its a
-    and row i the odd pole order 2 (n - m) + 2g + 1 of its b y.
+    rows are a basis, and deg t_i = n - deg r_(i-1).  The sequence stops
+    at the first r_i that is zero or has deg r_i + deg r_(i-1) <= n + g.
+    With m = deg r_(i-1), row i - 1 then has the even pole order 2m of its
+    a and row i the odd pole order 2 (n - m) + 2g + 1 of its b y.
+
+    It runs on q_i = r_i div N_(g+1) instead, whose Newton coordinates
+    are those of r_i above the lowest g + 1, in the Newton basis N'_j of
+    the nodes above the lowest g + 1.  This is exact (von zur
+    Gathen and Gerhard, Modern Computer Algebra, 11.1): N_(g+1) divides U,
+    so while the quotients agree, r_i - N_(g+1) q_i = t_i (V mod N_(g+1))
+    has degree at most n - deg r_(i-1) + g, below deg r_i until the test
+    stops, and a quotient read from q_(i-1) and q_i is exact while
+    2 deg r_i > n + g; when it is not, the next test stops whatever
+    r_(i+1) is.  So each test reads deg r_i = deg q_i + g + 1 and stops
+    where the full sequence does; one dropped node more breaks this.
     """
-    n = len(nodes)
-    prev, cur = [0] * n + [1], poly_trim(v)
-    while cur and len(prev) + len(cur) - 2 > n + genus:
+    n, low = len(nodes), genus + 1
+    nodes = nodes[low:]
+    prev, cur = [0] * (n - low) + [1], poly_trim(v[low:])
+    while cur and len(prev) + len(cur) - 2 > n + genus - 2 * low:
         db = len(cur) - 1
-        inv = pow(cur[-1], p - 2, p)
+        inv = pow(cur[-1], -1, p)  # a trimmed lead
         if len(prev) == len(cur) + 1:
             # One quotient term per degree: r - c1 (x b) - c0 b in one pass.
             shifted = [0] + cur
@@ -380,17 +410,18 @@ def _basis_pole_orders(nodes, v, genus, p):
         while rem and not rem[-1]:
             rem.pop()
         prev, cur = cur, rem
-    m = len(prev) - 1
+    m = len(prev) - 1 + low
     return 2 * m, 2 * (n - m) + 2 * genus + 1
 
 
-def rr_space_dims(divisor: Divisor, count: int) -> list[int]:
-    """[dim L(D - k*infinity) for k in range(count)].
+def _pole_orders(divisor: Divisor) -> tuple[int, tuple[int, ...]]:
+    """(cap', orders): the pole cap left after K is taken out and the pole
+    orders of a reduced basis of the solutions, so that
+    dim L(D - k*infinity) = _dim_below(cap' - k, orders) for every k >= 0.
+    orders is () when cap' < 0, where all these spaces are zero.
 
-    These spaces share their affine conditions, so one reduced basis of
-    their solutions serves them all; see the module docstring for how the
-    conditions are stated and how the two pole orders of that basis give
-    every dimension.
+    See the module docstring for how the conditions are stated and how
+    the two pole orders of that basis give every dimension.
     """
     curve = divisor.curve
     p = curve.prime
@@ -429,13 +460,30 @@ def rr_space_dims(divisor: Divisor, count: int) -> list[int]:
     # (module docstring, step 4).
     cap -= 2 * kept
     if cap < 0:
-        return [0] * count
-
+        return cap, ()
+    n = len(zeros) + sum(d for _, _, d in data)
+    if n <= g + 1:  # deg V < n: the remainder sequence takes no step
+        return cap, (2 * n, 2 * g + 1)
     nodes, coords = _newton_interpolant(
         zeros + [(x0, split_point_series(curve.coeffs, x0, y0, d, p)[1]) for x0, y0, d in data], p)
-    orders = _basis_pole_orders(nodes, coords, g, p)
-    return [sum(max(0, (q - o) // 2 + 1) for o in orders)
-            for q in range(cap, cap - count, -1)]
+    return cap, _basis_pole_orders(nodes, coords, g, p)
+
+
+def _dim_below(q: int, orders: tuple[int, ...]) -> int:
+    """The dimension of the solutions of pole order at most q, given a
+    reduced basis v_j of pole ``orders`` o_j: the x^i v_j with
+    2i + o_j <= q are a basis of them."""
+    return sum(max(0, (q - o) // 2 + 1) for o in orders)
+
+
+def rr_space_dims(divisor: Divisor, count: int) -> list[int]:
+    """[dim L(D - k*infinity) for k in range(count)].
+
+    These spaces share their affine conditions, so one reduced basis of
+    their solutions serves them all.
+    """
+    cap, orders = _pole_orders(divisor)
+    return [_dim_below(q, orders) for q in range(cap, cap - count, -1)]
 
 
 def rr_space_dim(divisor: Divisor) -> int:
@@ -459,24 +507,27 @@ def h0_sequence(divisor: Divisor, cover: ComposedMap) -> CohSequence:
     """Dimensions l -> dim L(D - n*l*infinity), n = cover degree, over the
     minimal window needed to recover the direct image.
 
-    Riemann-Roch answers the degrees outside [0, 2g - 2]; one
-    ``rr_space_dims`` call at the smallest l that reaches them answers the
-    rest.  The walk starts at l = (d - g) // n, where deg >= g makes the
-    value positive and which is at least the smallest twist, so every
-    probe lies in the window.
+    Riemann-Roch answers the degrees outside [0, 2g - 2]; the first probe
+    of any other degree computes the pole orders there, and every such
+    probe reads its dimension from them.  The walk starts at
+    l = (d - g) // n, where deg >= g makes the value positive and which
+    is at least the smallest twist, so every probe lies in the window.
     """
     n, d, g = cover.degree, divisor.degree, divisor.curve.genus
-    base = -((2 * g - 2 - d) // n)  # smallest l with deg <= 2g - 2
-    top = d - n * base
-    dims = rr_space_dims(divisor.shift_infinity(-n * base), top + 1) if top >= 0 else []
+    solved = None  # (l, cap', orders) at the first oracle degree probed
 
     def h0_at(l: int) -> int:
+        nonlocal solved
         deg = d - n * l
         if deg < 0:
             return 0
         if deg > 2 * g - 2:
             return deg + 1 - g
-        return dims[n * (l - base)]
+        if solved is None:
+            # cap' = deg + deg U0 >= 0 here, so the orders are computed.
+            solved = (l, *_pole_orders(divisor.shift_infinity(-n * l)))
+        first, cap, orders = solved
+        return _dim_below(cap - n * (l - first), orders)
 
     return h0_sequence_from_callable(h0_at, n, start=(d - g) // n)
 

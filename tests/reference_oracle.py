@@ -9,14 +9,20 @@ L(cap * infinity) in pole order, x-monomials included, and one
 elimination's pivot columns give the rank of every column prefix.  The
 oracle instead eliminates only a y-block in Newton coordinates; both
 must give the same dimensions.
+
+``reference_h0_sequence`` reads a whole h0 window from one such
+elimination, and ``reference_basis_pole_orders`` is the oracle's
+remainder sequence on every Newton coordinate, without dropping the
+lowest g + 1.
 """
 
 from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from pushfwd.expansions import split_point_series, weierstrass_point_series
+from pushfwd.expansions import poly_trim, split_point_series, weierstrass_point_series
 from pushfwd.linalg import pivot_columns_mod_p
+from pushfwd.splitting import h0_sequence_from_callable
 
 
 def condition_matrix(series, basis, p):
@@ -118,3 +124,60 @@ def reference_rr_space_dims(divisor, count):
         cols = bisect_right(poles, cap - k)
         dims.append(cols - bisect_left(pivots, cols))
     return dims
+
+
+def reference_h0_sequence(divisor, cover):
+    """The h0 window l -> dim L(D - n*l*infinity) of the direct image:
+    Riemann-Roch outside degrees [0, 2g - 2], and one
+    ``reference_rr_space_dims`` list at the smallest l that reaches the
+    rest."""
+    n, d, g = cover.degree, divisor.degree, divisor.curve.genus
+    base = -((2 * g - 2 - d) // n)  # smallest l with deg <= 2g - 2
+    top = d - n * base
+    dims = reference_rr_space_dims(divisor.shift_infinity(-n * base), top + 1) if top >= 0 else []
+
+    def h0_at(l):
+        deg = d - n * l
+        if deg < 0:
+            return 0
+        if deg > 2 * g - 2:
+            return deg + 1 - g
+        return dims[n * (l - base)]
+
+    return h0_sequence_from_callable(h0_at, n, start=(d - g) // n)
+
+
+def reference_basis_pole_orders(nodes, v, genus, p, low=0):
+    """The pole orders of ``hyperelliptic._basis_pole_orders`` from the
+    extended Euclid remainders of r_0 = N_n and r_1 = V = sum v_i N_i, run
+    on their Newton coordinates above the lowest ``low``, with the degree
+    test offset by 2 * low.  With low = 0 this is the whole sequence: it
+    stops at the first r_i that is zero or has deg r_i + deg r_(i-1) <=
+    n + g, and m = deg r_(i-1) gives the orders 2m and 2 (n - m) + 2g + 1.
+    """
+    n = len(nodes)
+    nodes = nodes[low:]
+    prev, cur = [0] * (n - low) + [1], poly_trim(v[low:])
+    while cur and len(prev) + len(cur) - 2 > n + genus - 2 * low:
+        db = len(cur) - 1
+        inv = pow(cur[-1], p - 2, p)
+        if len(prev) == len(cur) + 1:
+            shifted = [0] + cur
+            c1 = prev[-1] * inv % p
+            c0 = (prev[db] - c1 * (shifted[db] + nodes[db] * cur[db])) * inv % p
+            rem = [(a - c1 * (s + z * b) - c0 * b) % p
+                   for a, s, z, b in zip(prev, shifted, nodes, cur)]
+        else:
+            powers = [cur]
+            for _ in range(len(prev) - len(cur)):
+                b = powers[-1]
+                powers.append([(s + z * c) % p for s, z, c in zip([0] + b, nodes, b)] + [b[-1]])
+            rem = prev
+            for k in range(len(powers) - 1, -1, -1):
+                c = rem[db + k] * inv % p
+                rem = [(a - c * b) % p for a, b in zip(rem, powers[k])]
+        while rem and not rem[-1]:
+            rem.pop()
+        prev, cur = cur, rem
+    m = len(prev) - 1 + low
+    return 2 * m, 2 * (n - m) + 2 * genus + 1

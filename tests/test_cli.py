@@ -5,11 +5,14 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from pushfwd import cli
-from pushfwd.campaigns import CampaignReport
+from pushfwd.campaigns import CAMPAIGNS, CampaignReport
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*argv):
@@ -127,6 +130,17 @@ def test_verify_reports_reproducible():
     assert ra == rb
 
 
+@pytest.mark.parametrize("campaign", sorted(CAMPAIGNS))
+def test_verify_csv_matches_golden_file(campaign, tmp_path):
+    # Sampled instances and their answers are reproducible from (campaign,
+    # seed, trials); the files hold the CSV at seed 3, 40 trials.
+    target = tmp_path / "scan.csv"
+    code = cli.main(["verify", "--campaign", campaign, "--seed", "3", "--trials", "40",
+                     "--format", "csv", "--out", str(target)])
+    assert code == 0
+    assert target.read_bytes() == (GOLDEN / f"{campaign}.csv").read_bytes()
+
+
 def test_exit_code_two_on_bad_input():
     code, _, err = run_cli("g0", "--n", "0", "--m", "3")
     assert code == 2
@@ -150,6 +164,15 @@ def test_exit_code_two_on_bad_input():
         code, _, err = run_cli("verify", "--campaign", "duality", flag, "0")
         assert code == 2
         assert f"{name} must be at least 1" in err
+
+    # Stabilization samples genus >= 2 and composition m >= 2.
+    for campaign, flag, name in (("stabilization", "--max-genus", "max_genus"),
+                                 ("composition", "--max-m", "max_m")):
+        code, out, err = run_cli("verify", "--campaign", campaign, flag, "1",
+                                 "--trials", "3", "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert f"{name} must be at least 2" in err
 
 
 @pytest.mark.parametrize("curve,divisor,term", [

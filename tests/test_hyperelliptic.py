@@ -286,15 +286,15 @@ def test_h0_window_matches_oracle_on_campaign_instances(instances):
 
 
 def test_one_elimination_per_pushforward(monkeypatch):
-    # One remainder sequence per window gives its reduced basis.
+    # One orders computation per window gives its reduced basis.
     calls = []
-    basis_pole_orders = hyperelliptic._basis_pole_orders
+    pole_orders = hyperelliptic._pole_orders
 
-    def counted(nodes, v, genus, p):
-        calls.append(len(nodes))
-        return basis_pole_orders(nodes, v, genus, p)
+    def counted(divisor):
+        calls.append(divisor)
+        return pole_orders(divisor)
 
-    monkeypatch.setattr(hyperelliptic, "_basis_pole_orders", counted)
+    monkeypatch.setattr(hyperelliptic, "_pole_orders", counted)
     seen = set()
     for divisor, cover in campaign_instances():
         n, d, g = cover.degree, divisor.degree, divisor.curve.genus
@@ -305,6 +305,42 @@ def test_one_elimination_per_pushforward(monkeypatch):
         assert len(calls) == (1 if oracle_range else 0), (divisor, cover)
         seen.add(oracle_range)
     assert seen == {True, False}
+
+
+def _conditions_left(divisor):
+    """deg U0: |m(P) - m(iota P)| over the split x-values, plus one for
+    each ramification point of odd multiplicity."""
+    p = divisor.curve.prime
+    mults = {(pt.x, pt.y): m for pt, m in divisor.affine}
+    count = 0
+    for (x, y), m in mults.items():
+        if y == 0:
+            count += m % 2
+        elif y < p - y or (x, p - y) not in mults:
+            count += abs(m - mults.get((x, p - y), 0))
+    return count
+
+
+def test_no_series_when_at_most_g_plus_one_conditions_remain(monkeypatch):
+    # With deg U0 <= g + 1 the remainder sequence takes no step, so its
+    # orders need no local series and no remainder.
+    calls = []
+    for name in ("split_point_series", "_basis_pole_orders"):
+        def counted(*args, _original=getattr(hyperelliptic, name)):
+            calls.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(hyperelliptic, name, counted)
+    seen = set()
+    for divisor, cover in campaign_instances():
+        g = divisor.curve.genus
+        few = _conditions_left(divisor) <= g + 1
+        calls.clear()
+        hyperelliptic.rr_space_dims(divisor, 2 * g + 3)
+        pushforward(divisor, cover)
+        assert not (few and calls), (divisor, cover)
+        seen.add((few, bool(calls)))
+    assert {(True, False), (False, True)} <= seen
 
 
 def test_pushforward_euler_characteristic(genus3_curve):

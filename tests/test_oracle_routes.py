@@ -1,7 +1,8 @@
 """The oracle's Newton-coordinate remainder sequence against the
 condition-matrix route of tests/reference_oracle.py: the same dimensions
 and the same h0 windows, on every sampler the oracle's results have been
-checked on."""
+checked on; and its sequence on the top coordinates against the whole
+sequence."""
 
 import importlib.util
 import random
@@ -14,7 +15,11 @@ import pushfwd.hyperelliptic as hyperelliptic
 from pushfwd import ComposedMap, Divisor, HyperellipticCurve, h0_sequence
 from pushfwd.campaigns import sample_curve, sample_divisor
 from pushfwd.expansions import poly_is_squarefree
-from reference_oracle import reference_rr_space_dims
+from reference_oracle import (
+    reference_basis_pole_orders,
+    reference_h0_sequence,
+    reference_rr_space_dims,
+)
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "e2ebench" / "workloads.py"
 
@@ -30,15 +35,13 @@ def _benchmark_workloads():
     return module
 
 
-def assert_same_as_reference(divisor, cover, monkeypatch, count):
+def assert_same_as_reference(divisor, cover, count):
     """Equal rr_space_dims(D, count) and equal h0 windows through either
     route."""
     assert hyperelliptic.rr_space_dims(divisor, count) == \
         reference_rr_space_dims(divisor, count), divisor
     window = h0_sequence(divisor, cover)
-    with monkeypatch.context() as m:
-        m.setattr(hyperelliptic, "rr_space_dims", reference_rr_space_dims)
-        expected = h0_sequence(divisor, cover)
+    expected = reference_h0_sequence(divisor, cover)
     assert (window.lo, window.values) == (expected.lo, expected.values), (divisor, cover)
 
 
@@ -184,6 +187,36 @@ SAMPLERS = {
 
 
 @pytest.mark.parametrize("sampler, count_of", SAMPLERS.values(), ids=SAMPLERS.keys())
-def test_newton_route_matches_the_condition_matrix(sampler, count_of, monkeypatch):
+def test_newton_route_matches_the_condition_matrix(sampler, count_of):
     for divisor, cover in sampler():
-        assert_same_as_reference(divisor, cover, monkeypatch, count_of(divisor.curve.genus))
+        assert_same_as_reference(divisor, cover, count_of(divisor.curve.genus))
+
+
+def remainder_sequences():
+    # 2000 (nodes, V, g, p) at primes 3-10007, genus 1-6, with g + 2 to
+    # 3g + 8 nodes in up to five runs of one x-value each, as the
+    # interpolant orders them, and V of full or of random lower degree.
+    rng = random.Random(1009)
+    for _ in range(2000):
+        p = rng.choice((3, 5, 7, 11, 13, 10007))
+        genus = rng.randint(1, 6)
+        n = rng.randint(genus + 2, 3 * genus + 8)
+        xs = rng.sample(range(p), min(p, rng.randint(1, 5)))
+        nodes = sorted((rng.choice(xs) for _ in range(n)), key=xs.index)
+        v = [rng.randrange(p) for _ in range(n)]
+        if rng.random() < 0.5:
+            cut = rng.randint(0, n)
+            v[cut:] = [0] * (n - cut)
+        yield nodes, v, genus, p
+
+
+def test_remainder_sequence_on_top_coordinates_is_exact():
+    # Dropping the lowest g + 1 coordinates gives the whole sequence's
+    # orders; on these instances dropping g + 2 does not, so an off-by-one
+    # in the dropped count shows.
+    one_too_many = 0
+    for nodes, v, genus, p in remainder_sequences():
+        expected = reference_basis_pole_orders(nodes, v, genus, p)
+        assert hyperelliptic._basis_pole_orders(nodes, v, genus, p) == expected, (nodes, v, genus, p)
+        one_too_many += reference_basis_pole_orders(nodes, v, genus, p, genus + 2) != expected
+    assert one_too_many >= 100
