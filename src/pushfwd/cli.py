@@ -69,8 +69,12 @@ def _json_text(payload) -> str:
 
 def _emit(text: str, args) -> None:
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:  # malformed input, not a failed campaign
+            reason = exc.strerror or exc
+            raise ValueError(f"cannot write --out {args.out!r}: {reason}") from None
     else:
         sys.stdout.write(text)
 

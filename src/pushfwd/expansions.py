@@ -12,13 +12,17 @@ The two local expansions of a point of y^2 = f(x) live here:
 
 Both read only the first prec coefficients of f(x0 + t), which
 ``taylor_prefix`` computes by prec synthetic divisions by (x - x0) in
-O(prec * deg f).  The square root then costs O(prec^2) and the inversion
+O(prec * deg f).  The square root then takes prec C-level dot products
+(``sum(map(mul, ...))``) of at most prec / 2 terms each, O(prec^2)
+multiplications but no interpreted inner loop; the inversion costs
 about (prec / 2)^4.  The Riemann-Roch oracle uses only the split-point
 expansion, with prec = |m(P) - m(iota P)| at a split x-value (an absent
 point has multiplicity 0); it needs no series at a ramification point.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 
 def poly_trim(coeffs: list[int]) -> list[int]:
@@ -140,7 +144,8 @@ def poly_compose_series(coeffs, inner, prec: int, p: int) -> list[int]:
 def sqrt_series(poly, y0: int, prec: int, p: int) -> list[int]:
     """Series y(t) with y(t)^2 = poly(t) and y(0) = y0, nonzero.
 
-    Coefficient recurrence from comparing t^k on both sides.
+    Coefficient recurrence from comparing t^k on both sides: 2 y0 y_k is
+    poly_k less one symmetric dot product of the terms found so far.
     """
     y0 %= p
     if y0 == 0:
@@ -148,9 +153,11 @@ def sqrt_series(poly, y0: int, prec: int, p: int) -> list[int]:
     out = [y0] + [0] * (prec - 1)
     inv = pow(2 * y0, -1, p)  # p is odd and y0 nonzero
     for k in range(1, prec):
-        conv = 0
-        for i in range(1, k):
-            conv = (conv + out[i] * out[k - i]) % p
+        # sum y_i y_(k-i), 0 < i < k: each pair twice, the middle once.
+        h = (k - 1) // 2
+        conv = 2 * sum(map(mul, out[1:h + 1], out[k - 1:k - h - 1:-1]))
+        if k % 2 == 0:
+            conv += out[k // 2] ** 2
         target = poly[k] if k < len(poly) else 0
         out[k] = (target - conv) * inv % p
     return out

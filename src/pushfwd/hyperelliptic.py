@@ -39,16 +39,21 @@ Riemann-Roch space dimensions are computed exactly over F_p:
    n + g, and with m = deg r_(i-1) the orders are o1 = 2m and o2 =
    2 (n - m) + 2g + 1.  When n <= g + 1, deg V < n stops it at once:
    the orders are 2n and 2g + 1, and no series or interpolant is built.
-   Otherwise the quotients it takes depend only on the coefficients of
-   degree > g (see ``_basis_pole_orders``), so it runs on the Newton
-   coordinates above the lowest g + 1, where U0 = N_n is a unit vector,
-   V is the interpolant's coordinates and x N_i = N_(i+1) + z_i N_i; a
-   step of quotient degree 1 is one fused pass.
+   Otherwise a step from r_(i-1) reads no coefficient of degree below
+   n + g + 1 - deg r_(i-1) (see ``_basis_pole_orders``), so it runs on
+   the Newton coordinates from there up: the lowest g + 1 are dropped
+   at the start and one more after each step of quotient degree 1.
+   There U0 = N_n is a unit vector, V is the interpolant's coordinates
+   and x N_i = N_(i+1) + z_i N_i; a step of quotient degree 1 is one
+   fused pass.
 
-The R = deg U + deg K conditions cost O(R * deg f) for the local series;
-the deg U0 <= R nodes that remain after K is taken out cost O(deg U0^2),
-in about deg U0 list passes, for the interpolant, and O((deg U0 - g)^2)
-for the remainder sequence.  When deg U0 <= g + 1 none of this is done.
+The R = deg U + deg K conditions cost O(R * deg f) for the local series,
+whose square root is one C-level dot product per coefficient; the
+deg U0 <= R nodes that remain after K is taken out cost O(deg U0^2), in
+about deg U0 list passes, for the interpolant (one pass for a single
+site), and about (deg U0 - g)^2 / 4 list work for the remainder
+sequence: from deg r_(i-1) = d it reads 2d - n - g coordinates, for d
+from n down to (n + g) / 2.  When deg U0 <= g + 1 none of this is done.
 Nothing is eliminated, and numpy is not used.
 
 The conditions do not depend on the coefficient at infinity, so the two
@@ -126,7 +131,7 @@ def _square_roots(p: int) -> dict[int, tuple[int, ...]]:
 class HyperellipticCurve:
     """y^2 = f(x) over F_p, f monic squarefree of odd degree 2g + 1 >= 3."""
 
-    __slots__ = ("prime", "coeffs", "genus")
+    __slots__ = ("prime", "coeffs", "genus", "_on_curve")
 
     def __init__(self, prime: int, coeffs: Iterable[int]):
         if prime == 2:
@@ -148,6 +153,7 @@ class HyperellipticCurve:
         self.prime = prime
         self.coeffs = cs
         self.genus = (len(cs) - 2) // 2
+        self._on_curve: set[tuple[int, int]] = set()  # (x, y) that point() checked
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HyperellipticCurve):
@@ -172,12 +178,16 @@ class HyperellipticCurve:
             raise PointNotOnCurve(
                 f"({x}, {y}) does not satisfy y^2 = f(x) over F_{p}"
             )
+        self._on_curve.add((x, y))
         return CurvePoint("affine", x, y)
 
     def validate_point(self, pt: "CurvePoint") -> None:
+        """Raises unless pt is an affine point of the curve; f is not
+        evaluated again at a point that ``point`` has checked."""
         if pt.kind != "affine":
             raise ValueError("only affine points can carry divisor multiplicities here")
-        self.point(pt.x, pt.y)
+        if (pt.x, pt.y) not in self._on_curve:
+            self.point(pt.x, pt.y)
 
     def affine_coordinates(self) -> list[tuple[int, int]]:
         """(x, y) of every F_p-rational affine point, by x and then y."""
@@ -324,10 +334,11 @@ def _newton_interpolant(sites, p):
     The expansions of V so far and of N so far at every later site are
     stacked into two vectors, as the terms of the targets are.  The
     coordinates W of a site solve V + N * W = target there, one series
-    division by the unit N(x0 + t); each of its nodes then updates both
-    vectors, V += c N and N *= (x - x0), in one pass each over the later
-    sites' terms.  The last site has none to update, so a single site's
-    coordinates are its target.
+    division by the unit N(x0 + t), a single pass where N is constant (at
+    the first site, and at any site of one node); each of its nodes then
+    updates both vectors, V += c N and N *= (x - x0), in one pass each
+    over the later sites' terms.  The last site has none to update, so a
+    single site's coordinates are its target.
     """
     xs: list[int] = []
     within: list[int] = []  # 0 where the t-shift would cross into a site
@@ -346,10 +357,13 @@ def _newton_interpolant(sites, p):
         xs = xs[d:]
         inv = pow(here_n[0], -1, p)  # N(x0) != 0: the sites' x0 are distinct
         higher = [(i, a) for i, a in enumerate(here_n) if i and a]
-        w: list[int] = []
-        for k in range(d):
-            acc = target[k] - here_v[k] - sum(a * w[k - i] for i, a in higher if i <= k)
-            w.append(acc * inv % p)
+        if higher:
+            w: list[int] = []
+            for k in range(d):
+                acc = target[k] - here_v[k] - sum(a * w[k - i] for i, a in higher if i <= k)
+                w.append(acc * inv % p)
+        else:  # N is the constant N(x0) here: always so at the first site
+            w = [(t - a) * inv % p for t, a in zip(target, here_v)]
         if xs:
             for c in w:
                 if c:
@@ -372,21 +386,37 @@ def _basis_pole_orders(nodes, v, genus, p):
     With m = deg r_(i-1), row i - 1 then has the even pole order 2m of its
     a and row i the odd pole order 2 (n - m) + 2g + 1 of its b y.
 
-    It runs on q_i = r_i div N_(g+1) instead, whose Newton coordinates
-    are those of r_i above the lowest g + 1, in the Newton basis N'_j of
-    the nodes above the lowest g + 1.  This is exact (von zur
-    Gathen and Gerhard, Modern Computer Algebra, 11.1): N_(g+1) divides U,
-    so while the quotients agree, r_i - N_(g+1) q_i = t_i (V mod N_(g+1))
-    has degree at most n - deg r_(i-1) + g, below deg r_i until the test
-    stops, and a quotient read from q_(i-1) and q_i is exact while
-    2 deg r_i > n + g; when it is not, the next test stops whatever
-    r_(i+1) is.  So each test reads deg r_i = deg q_i + g + 1 and stops
-    where the full sequence does; one dropped node more breaks this.
+    Before each step it drops the Newton coordinates below
+    k = n + g + 1 - deg r_(i-1): the lowest g + 1 at the start, and one
+    more after each step of quotient degree 1.  Restart the sequence at
+    a pair (A, B) = (r_(i-1), r_i) where coordinates are dropped: those
+    kept are the coordinates of A div N_k and B div N_k in the Newton
+    basis N_j / N_k of the nodes from k up, on which x acts exactly.  So
+    while the quotients are those of the whole sequence, each later
+    remainder rho_j = s_j A + t_j B comes out as s_j (A div N_k) +
+    t_j (B div N_k), which N_k times misses rho_j by s_j (A mod N_k) +
+    t_j (B mod N_k).  With deg t_j = deg A - deg rho_(j-1) >= deg s_j,
+    that miss has degree at most deg A - deg rho_(j-1) + k - 1 =
+    n + g - deg rho_(j-1), the same bound whichever pair the drop was
+    made at, so all the misses sum to a polynomial of degree at most
+    n + g - deg r_(j-1) at every later r_j.  A quotient of r_(j-1) by r_j reads only coefficients of degree
+    at least 2 deg r_j - deg r_(j-1) (von zur Gathen and Gerhard, Modern
+    Computer Algebra, 11.1), all above the misses while
+    2 deg r_j >= n + g + 1; when that fails, the next test stops whatever
+    r_(j+1) is.  deg r_j is above the misses while
+    deg r_j + deg r_(j-1) >= n + g + 1, and when that fails, so does the
+    test on what is left of r_j.  So each test reads the degrees of the
+    whole sequence and stops where it does.  One coordinate more per step
+    raises the bound to n + g + 1 - deg r_(j-1), which reaches the lowest
+    coefficient a quotient reads when 2 deg r_j = n + g + 1, and the
+    orders change.
     """
-    n, low = len(nodes), genus + 1
-    nodes = nodes[low:]
-    prev, cur = [0] * (n - low) + [1], poly_trim(v[low:])
-    while cur and len(prev) + len(cur) - 2 > n + genus - 2 * low:
+    n, low = len(nodes), 0  # list index i holds the coordinate of N_(i+low)
+    prev, cur = [0] * n + [1], poly_trim(v)
+    while cur and len(prev) + len(cur) - 2 + 2 * low > n + genus:
+        # Keep the coordinates from n + g + 1 - deg prev up.
+        drop = n + genus + 2 - len(prev) - 2 * low
+        prev, cur, nodes, low = prev[drop:], cur[drop:], nodes[drop:], low + drop
         db = len(cur) - 1
         inv = pow(cur[-1], -1, p)  # a trimmed lead
         if len(prev) == len(cur) + 1:

@@ -12,8 +12,8 @@ must give the same dimensions.
 
 ``reference_h0_sequence`` reads a whole h0 window from one such
 elimination, and ``reference_basis_pole_orders`` is the oracle's
-remainder sequence on every Newton coordinate, without dropping the
-lowest g + 1.
+remainder sequence on every Newton coordinate, or with a given number of
+the lowest dropped before each step.
 """
 
 from bisect import bisect_left, bisect_right
@@ -147,18 +147,26 @@ def reference_h0_sequence(divisor, cover):
     return h0_sequence_from_callable(h0_at, n, start=(d - g) // n)
 
 
-def reference_basis_pole_orders(nodes, v, genus, p, low=0):
+def reference_basis_pole_orders(nodes, v, genus, p, dropped=lambda deg: 0, quotients=None):
     """The pole orders of ``hyperelliptic._basis_pole_orders`` from the
     extended Euclid remainders of r_0 = N_n and r_1 = V = sum v_i N_i, run
-    on their Newton coordinates above the lowest ``low``, with the degree
-    test offset by 2 * low.  With low = 0 this is the whole sequence: it
-    stops at the first r_i that is zero or has deg r_i + deg r_(i-1) <=
-    n + g, and m = deg r_(i-1) gives the orders 2m and 2 (n - m) + 2g + 1.
+    on their Newton coordinates.  Before each step it drops the lowest
+    coordinates up to ``dropped(deg r_(i-1))``, which must not fall as the
+    degree does, and offsets the degree test by twice the number dropped.
+    With nothing dropped this is the whole sequence: it stops at the
+    first r_i that is zero or has deg r_i + deg r_(i-1) <= n + g, and
+    m = deg r_(i-1) gives the orders 2m and 2 (n - m) + 2g + 1.  Each
+    step appends its quotient degree to ``quotients`` when given.
     """
-    n = len(nodes)
-    nodes = nodes[low:]
-    prev, cur = [0] * (n - low) + [1], poly_trim(v[low:])
-    while cur and len(prev) + len(cur) - 2 > n + genus - 2 * low:
+    n, low = len(nodes), 0
+    prev, cur = [0] * n + [1], poly_trim(v)
+    while cur and len(prev) + len(cur) - 2 + 2 * low > n + genus:
+        drop = dropped(len(prev) - 1 + low) - low
+        prev, cur, nodes, low = prev[drop:], cur[drop:], nodes[drop:], low + drop
+        if not cur:
+            break
+        if quotients is not None:
+            quotients.append(len(prev) - len(cur))
         db = len(cur) - 1
         inv = pow(cur[-1], p - 2, p)
         if len(prev) == len(cur) + 1:

@@ -174,6 +174,16 @@ def test_exit_code_two_on_bad_input():
         assert out == ""
         assert f"{name} must be at least 2" in err
 
+    # An --out that cannot be written is bad input, not a failed campaign.
+    for path in ("/nonexistent/x", "/"):
+        for command in (("g0", "--n", "2", "--m", "1"),
+                        ("verify", "--campaign", "duality", "--trials", "2")):
+            code, out, err = run_cli(*command, "--out", path)
+            assert code == 2
+            assert out == ""
+            assert f"--out {path!r}" in err
+            assert "Traceback" not in err
+
 
 @pytest.mark.parametrize("curve,divisor,term", [
     ("p=five; f=0,1,0,0,0,1", "inf:1", "p=five"),

@@ -1,5 +1,6 @@
 """Polynomial helpers and local power-series expansions."""
 
+import itertools
 import random
 
 import pytest
@@ -137,19 +138,27 @@ def test_series_mul_truncation():
 
 
 def test_sqrt_series_squares_back():
+    # Every x0 with a nonzero root at the small primes, 25 random ones at
+    # the large, for f of degree 3, 5 and 9, and precisions past p, so that
+    # each parity of the symmetric convolution and its middle term are
+    # read many times.
     rng = random.Random(1)
-    for p in (5, 11, 17):
-        f = [rng.randrange(p) for _ in range(5)] + [1]
-        for x0 in range(p):
+    for p, degree in itertools.product((3, 5, 7, 10007, 2**31 - 1), (3, 5, 9)):
+        f = [rng.randrange(p) for _ in range(degree)] + [1]
+        x0s = range(p) if p < 10 else [rng.randrange(p) for _ in range(25)]
+        for x0 in x0s:
             y2 = poly_eval(f, x0, p)
-            y0 = next((y for y in range(p) if y * y % p == y2 and y != 0), None)
-            if y0 is None:
+            if p % 4 == 3:
+                y0 = pow(y2, (p + 1) // 4, p)
+            else:
+                y0 = next((y for y in range(p) if y * y % p == y2), 0)
+            if y0 == 0 or y0 * y0 % p != y2:
                 continue
-            prec = 9
-            shifted = taylor_prefix(f, x0, prec, p)
-            ys = sqrt_series(shifted, y0, prec, p)
-            assert series_mul(ys, ys, prec, p) == shifted
-            break
+            for prec in (1, 2, 3, 4, 9, 120):
+                shifted = taylor_prefix(f, x0, prec, p)
+                ys = sqrt_series(shifted, y0, prec, p)
+                assert ys[0] == y0
+                assert series_mul(ys, ys, prec, p) == shifted, (p, x0, prec)
 
 
 def test_sqrt_series_needs_unit():

@@ -9,6 +9,7 @@ import pushfwd.hyperelliptic as hyperelliptic
 from pushfwd import (
     CharacteristicTwo,
     ComposedMap,
+    CurvePoint,
     DegreeNotMultiple,
     Divisor,
     HyperellipticCurve,
@@ -58,6 +59,24 @@ def test_point_validation(genus2_curve, elliptic_curve):
     foreign = elliptic_curve.point(0, 1)
     with pytest.raises(PointNotOnCurve):
         Divisor(genus2_curve, 0, {foreign: 1})
+
+
+def test_divisor_evaluates_f_once_per_point(monkeypatch):
+    # curve.point evaluates f at each point it returns; a divisor built
+    # from those points does not evaluate it again, but a raw point off
+    # the curve still raises.
+    curve = sample_curve(random.Random(5), 3, 101)
+    coords = curve.affine_coordinates()[:12]
+    calls = []
+    rhs = HyperellipticCurve.rhs
+    monkeypatch.setattr(HyperellipticCurve, "rhs",
+                        lambda self, x: calls.append(x) or rhs(self, x))
+    divisor = Divisor(curve, 0, {curve.point(x, y): 1 for x, y in coords})
+    assert len(divisor.affine) == len(coords) == 12
+    assert len(calls) == 12
+    x, y = coords[0]
+    with pytest.raises(PointNotOnCurve):
+        Divisor(curve, 0, {CurvePoint("affine", x, y + 1): 1})
 
 
 def test_divisor_canonicalization(genus2_curve):
@@ -230,8 +249,10 @@ def test_pushforward_weierstrass_multiplicity_budget(genus2_curve):
     # K takes every kept zero out, so a lone ramification point leaves
     # a single node and no remainder step.
     ("pt:0,0:-4001", 1.0, [-2001, -2003]),
-    # 2000 nodes at one x-value: the local series, its interpolant and
-    # about 1000 remainder steps of one pass each.
+    # 2000 nodes at one x-value: the local series (one dot product per
+    # term), a one-pass interpolant and about 1000 remainder steps of one
+    # pass each, over 2d - n - g coordinates at deg r_(i-1) = d: 1998 at
+    # the first step and two fewer at each later one.
     ("pt:2,2:2000", 1.5, [999, 998]),
 ], ids=["pt:0,0:-4001", "pt:2,2:2000"])
 def test_pushforward_unpaired_multiplicity_budgets(genus2_curve, text, budget, expected):

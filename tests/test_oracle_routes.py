@@ -210,13 +210,51 @@ def remainder_sequences():
         yield nodes, v, genus, p
 
 
+def wide_remainder_sequences():
+    # 1000 more at primes up to 2**31 - 1, genus 1-8, with g + 2 to
+    # 12g + 40 nodes in up to six runs, and V full, cut to a random lower
+    # degree, or with one to four nonzero Newton coordinates; a sparse V
+    # gives quotients of degree above 1 after the first step, even where
+    # p is too large for a lead to vanish by chance.
+    rng = random.Random(4099)
+    for _ in range(1000):
+        p = rng.choice((3, 5, 7, 10007, 2**31 - 1))
+        genus = rng.randint(1, 8)
+        n = rng.randint(genus + 2, 12 * genus + 40)
+        xs = rng.sample(range(p), min(p, rng.randint(1, 6)))
+        nodes = sorted((rng.choice(xs) for _ in range(n)), key=xs.index)
+        shape = rng.randrange(3)
+        v = [rng.randrange(p) for _ in range(n)] if shape < 2 else [0] * n
+        if shape == 1:
+            cut = rng.randint(0, n)
+            v[cut:] = [0] * (n - cut)
+        elif shape == 2:
+            for i in rng.sample(range(n), rng.randint(1, 4)):
+                v[i] = rng.randrange(1, p)
+        yield nodes, v, genus, p
+
+
 def test_remainder_sequence_on_top_coordinates_is_exact():
-    # Dropping the lowest g + 1 coordinates gives the whole sequence's
-    # orders; on these instances dropping g + 2 does not, so an off-by-one
-    # in the dropped count shows.
-    one_too_many = 0
+    # Dropping the Newton coordinates below n + g + 1 - deg r_(i-1) before
+    # each step gives the whole sequence's orders.  On these instances
+    # dropping one more per step does not, and neither does dropping the
+    # lowest g + 2 once, so an off-by-one in either count shows.
+    one_too_many = one_too_many_once = 0
     for nodes, v, genus, p in remainder_sequences():
         expected = reference_basis_pole_orders(nodes, v, genus, p)
         assert hyperelliptic._basis_pole_orders(nodes, v, genus, p) == expected, (nodes, v, genus, p)
-        one_too_many += reference_basis_pole_orders(nodes, v, genus, p, genus + 2) != expected
+        n = len(nodes)
+        one_too_many += reference_basis_pole_orders(
+            nodes, v, genus, p, lambda deg: n + genus + 2 - deg) != expected
+        one_too_many_once += reference_basis_pole_orders(
+            nodes, v, genus, p, lambda deg: genus + 2) != expected
     assert one_too_many >= 100
+    assert one_too_many_once >= 100
+
+    later_long_quotients = 0
+    for nodes, v, genus, p in wide_remainder_sequences():
+        quotients = []
+        expected = reference_basis_pole_orders(nodes, v, genus, p, quotients=quotients)
+        assert hyperelliptic._basis_pole_orders(nodes, v, genus, p) == expected, (nodes, v, genus, p)
+        later_long_quotients += any(d > 1 for d in quotients[1:])
+    assert later_long_quotients >= 100
