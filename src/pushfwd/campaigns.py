@@ -3,6 +3,11 @@
 Each campaign draws reproducible random instances and checks one family of
 identities; a report carries pass/fail counts, failure exemplars with both
 computed values, and per-instance scan rows for CSV emission.
+
+The campaigns check closed forms against splittings extracted from
+computed h0 windows, not against ``pushforward``, which reads them off the
+reduced basis.  A failing oracle instance's exemplar also holds each such
+window and the read-out splitting of the same input.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .hyperelliptic import (
     HyperellipticCurve,
     canonical_divisor,
     divisor_to_string,
+    h0_sequence,
     is_exceptional_class,
     pushforward,
     rr_space_dim,
@@ -111,6 +117,20 @@ def _oracle_row(curve, divisor, cover, image, bound=None) -> dict:
     )
 
 
+def _extracted(divisor, cover):
+    """The direct image extracted from the computed h0 window."""
+    return splitting_from_h0_sequence(h0_sequence(divisor, cover))
+
+
+def _window_record(divisor, cover) -> dict:
+    """The extracted h0 window of one oracle input and the splitting
+    ``pushforward`` reads off the reduced basis for it."""
+    seq = h0_sequence(divisor, cover)
+    return {"divisor": divisor_to_string(divisor), "m": cover.exponent,
+            "lo": seq.lo, "values": list(seq.values),
+            "read_out": _splitting_str(pushforward(divisor, cover))}
+
+
 def _genus0_instance(rng, max_genus, max_m):
     n = rng.randint(1, 8)
     m = rng.randint(-20, 20)
@@ -123,7 +143,7 @@ def _genus0_instance(rng, max_genus, max_m):
     )
     inputs = {"n": n, "m": m}
     row = _scan_row(g=0, n=n, d=m, splitting=closed)
-    return ok, inputs, _splitting_str(closed), _splitting_str(extracted), row
+    return ok, inputs, _splitting_str(closed), _splitting_str(extracted), row, ()
 
 
 def _genus1_instance(rng, max_genus, max_m):
@@ -133,26 +153,29 @@ def _genus1_instance(rng, max_genus, max_m):
     n = cover.degree
     flag = is_exceptional_class(divisor, cover) if divisor.degree % n == 0 else None
     expected = direct_image_g1(n, AtiyahBundleSpec(1, divisor.degree, flag))
-    actual = pushforward(divisor, cover)
+    actual = _extracted(divisor, cover)
     inputs = {
         "curve": curve.to_string(), "divisor": divisor_to_string(divisor),
         "m": cover.exponent, "exceptional": flag,
     }
     row = _oracle_row(curve, divisor, cover, actual)
-    return actual == expected, inputs, _splitting_str(expected), _splitting_str(actual), row
+    return (actual == expected, inputs, _splitting_str(expected), _splitting_str(actual), row,
+            ((divisor, cover),))
 
 
 def _duality_instance(rng, max_genus, max_m):
     curve = sample_curve(rng, rng.randint(1, max_genus))
     divisor = sample_divisor(rng, curve)
     cover = ComposedMap(rng.randint(1, max_m))
-    push = pushforward(divisor, cover)
-    push_dual = pushforward(canonical_divisor(curve) - divisor, cover)
+    dual = canonical_divisor(curve) - divisor
+    push = _extracted(divisor, cover)
+    push_dual = _extracted(dual, cover)
     ok = verify_duality(push, push_dual)
     inputs = {"curve": curve.to_string(), "divisor": divisor_to_string(divisor),
               "m": cover.exponent}
     row = _oracle_row(curve, divisor, cover, push)
-    return ok, inputs, _splitting_str(serre_dual(push)), _splitting_str(push_dual), row
+    return (ok, inputs, _splitting_str(serre_dual(push)), _splitting_str(push_dual), row,
+            ((divisor, cover), (dual, cover)))
 
 
 def _stabilization_instance(rng, max_genus, max_m):
@@ -161,7 +184,7 @@ def _stabilization_instance(rng, max_genus, max_m):
     divisor = sample_divisor(rng, curve)
     cover = ComposedMap(rng.randint(1, max_m))
     n = cover.degree
-    push = pushforward(divisor, cover)
+    push = _extracted(divisor, cover)
     bound = spread_bound(CurveMapContext(g, n, 1, divisor.degree), "any")
     ok = spread(push) <= bound.floor()
     expected = f"spread <= {bound.floor()}"
@@ -178,19 +201,21 @@ def _stabilization_instance(rng, max_genus, max_m):
     inputs = {"curve": curve.to_string(), "divisor": divisor_to_string(divisor),
               "m": cover.exponent}
     row = _oracle_row(curve, divisor, cover, push, bound)
-    return ok, inputs, expected, actual, row
+    return ok, inputs, expected, actual, row, ((divisor, cover),)
 
 
 def _composition_instance(rng, max_genus, max_m):
     curve = sample_curve(rng, rng.randint(1, max_genus))
     divisor = sample_divisor(rng, curve)
     exponent = rng.randint(2, max_m)
-    one_shot = pushforward(divisor, ComposedMap(exponent))
-    staged = direct_image_g0_bundle(exponent, pushforward(divisor, ComposedMap(1)))
+    cover, double = ComposedMap(exponent), ComposedMap(1)
+    one_shot = _extracted(divisor, cover)
+    staged = direct_image_g0_bundle(exponent, _extracted(divisor, double))
     inputs = {"curve": curve.to_string(), "divisor": divisor_to_string(divisor),
               "m": exponent}
-    row = _oracle_row(curve, divisor, ComposedMap(exponent), one_shot)
-    return one_shot == staged, inputs, _splitting_str(staged), _splitting_str(one_shot), row
+    row = _oracle_row(curve, divisor, cover, one_shot)
+    return (one_shot == staged, inputs, _splitting_str(staged), _splitting_str(one_shot), row,
+            ((divisor, cover), (divisor, double)))
 
 
 def _riemann_roch_instance(rng, max_genus, max_m):
@@ -201,7 +226,7 @@ def _riemann_roch_instance(rng, max_genus, max_m):
     inputs = {"curve": curve.to_string(), "divisor": divisor_to_string(divisor)}
     row = _scan_row(p=curve.prime, g=curve.genus, curve=curve.to_string(),
                     divisor=divisor_to_string(divisor), d=divisor.degree)
-    return lhs == rhs, inputs, str(rhs), str(lhs), row
+    return lhs == rhs, inputs, str(rhs), str(lhs), row, ()
 
 
 CAMPAIGNS = {
@@ -243,16 +268,17 @@ def run_campaign(name: str, seed: int, trials: int,
     failures: list[dict] = []
     rows: list[dict] = []
     for index in range(trials):
-        ok, inputs, expected, actual, row = instance(rng, max_genus, max_m)
+        ok, inputs, expected, actual, row, windows = instance(rng, max_genus, max_m)
         rows.append(row)
         if ok:
             passed += 1
         else:
             failed += 1
             if len(failures) < MAX_FAILURE_EXEMPLARS:
-                failures.append({
-                    "index": index, "inputs": inputs,
-                    "expected": expected, "actual": actual,
-                })
+                failure = {"index": index, "inputs": inputs,
+                           "expected": expected, "actual": actual}
+                if windows:
+                    failure["windows"] = [_window_record(d, c) for d, c in windows]
+                failures.append(failure)
     wall = time.perf_counter() - start
     return CampaignReport(name, seed, trials, passed, failed, wall, failures, rows)

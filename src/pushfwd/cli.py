@@ -23,12 +23,13 @@ from .hyperelliptic import (
     curve_from_string,
     divisor_from_string,
     divisor_to_string,
-    h0_sequence,
+    pushforward,
 )
 from .splitting import (
     CohSequence,
     SplittingType,
     h0,
+    h0_sequence_of,
     h1,
     splitting_from_h0_sequence,
     spread,
@@ -146,8 +147,8 @@ def _cmd_hyper_push(args) -> int:
     curve = curve_from_string(args.curve)
     divisor = divisor_from_string(curve, args.divisor)
     cover = ComposedMap(args.m)
-    seq = h0_sequence(divisor, cover)
-    bundle = splitting_from_h0_sequence(seq)
+    bundle = pushforward(divisor, cover)
+    seq = h0_sequence_of(bundle)  # the minimal window, as the oracle's walk finds it
     payload = splitting_payload(bundle)
     payload.update({
         "curve": curve.to_string(),

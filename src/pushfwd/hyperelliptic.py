@@ -65,11 +65,14 @@ Comp. 48 (1987), here without reduction.
 Dimensions are invariant under base field extension, so these match the
 geometric values the splitting formulas refer to.
 
-Pushforward windows send only degrees in [0, 2g - 2] to this computation
-(Riemann-Roch gives the rest).  The first such probe of a window computes
-cap' and the two orders, every later probe reads its dimension from
-them, and the walk starts at floor((d - g) / n); nothing is memoized
-across calls.
+``pushforward`` reads the direct image off the two orders: over
+F_p[z], z = x^m, the x^i v_j with i < m are a basis, so one orders
+computation gives every twist by O(1) arithmetic per order, and none is
+needed when no degree d - 2m l lies in [0, 2g - 2].  ``h0_sequence``
+keeps the paper's route, the window of computed dimensions that the
+campaigns extract from: Riemann-Roch answers the degrees outside
+[0, 2g - 2], one orders computation the degrees inside, and the walk
+starts at floor((d - g) / n).  Nothing is memoized across calls.
 """
 
 from __future__ import annotations
@@ -101,7 +104,6 @@ from .splitting import (
     CohSequence,
     SplittingType,
     h0_sequence_from_callable,
-    splitting_from_h0_sequence,
 )
 
 
@@ -444,29 +446,25 @@ def _basis_pole_orders(nodes, v, genus, p):
     return 2 * m, 2 * (n - m) + 2 * genus + 1
 
 
-def _pole_orders(divisor: Divisor) -> tuple[int, tuple[int, ...]]:
-    """(cap', orders): the pole cap left after K is taken out and the pole
-    orders of a reduced basis of the solutions, so that
-    dim L(D - k*infinity) = _dim_below(cap' - k, orders) for every k >= 0.
-    orders is () when cap' < 0, where all these spaces are zero.
-
-    See the module docstring for how the conditions are stated and how
-    the two pole orders of that basis give every dimension.
+def _conditions(divisor: Divisor):
+    """(cap', zeros, data): the pole cap left after K is taken out, and
+    the conditions of a + b V = 0 mod U0 (module docstring, steps 3-4):
+    ``zeros`` holds (x0, [0]) where V(x0) = 0, and ``data`` holds
+    (x0, y0, n - k) where V follows y at (x0, y0) to n - k terms.
     """
     curve = divisor.curve
     p = curve.prime
-    g = curve.genus
 
     by_x: dict[int, dict[int, int]] = {}
     for pt, mult in divisor.affine:
         by_x.setdefault(pt.x, {})[pt.y] = mult
 
     # Pole clearing by (x - x0)^e per support x-value, and the zeros it
-    # asks of a(x) + b(x) y there (module docstring, step 3).  The nodes of
-    # U0 are those of `zeros`, then of `data`; `kept` counts the nodes of K.
+    # asks of a(x) + b(x) y there.  The nodes of U0 are those of `zeros`,
+    # then of `data`; `kept` counts the nodes of K.
     cap = divisor.at_infinity
-    zeros = []  # (x0, [0]): V(x0) = 0
-    data = []  # (x0, y0, n - k): V follows y at (x0, y0) to n - k terms
+    zeros = []
+    data = []
     kept = 0
     for x0, ys in by_x.items():
         if 0 in ys:  # a support point has y = 0 exactly when f(x0) = 0
@@ -486,17 +484,34 @@ def _pole_orders(divisor: Divisor) -> tuple[int, tuple[int, ...]]:
                 data.append((x0, y0, needed - fewer))
             kept += fewer
         cap += 2 * e
-    # Every solution is K times one mod U0, of pole order 2 deg K less
-    # (module docstring, step 4).
-    cap -= 2 * kept
-    if cap < 0:
-        return cap, ()
+    # Every solution is K times one mod U0, of pole order 2 deg K less.
+    return cap - 2 * kept, zeros, data
+
+
+def _orders(curve: HyperellipticCurve, zeros, data) -> tuple[int, int]:
+    """The pole orders of a reduced basis of the solutions of the
+    conditions ``_conditions`` states; they do not depend on cap'."""
+    g = curve.genus
     n = len(zeros) + sum(d for _, _, d in data)
     if n <= g + 1:  # deg V < n: the remainder sequence takes no step
-        return cap, (2 * n, 2 * g + 1)
+        return 2 * n, 2 * g + 1
+    p = curve.prime
     nodes, coords = _newton_interpolant(
         zeros + [(x0, split_point_series(curve.coeffs, x0, y0, d, p)[1]) for x0, y0, d in data], p)
-    return cap, _basis_pole_orders(nodes, coords, g, p)
+    return _basis_pole_orders(nodes, coords, g, p)
+
+
+def _pole_orders(divisor: Divisor) -> tuple[int, tuple[int, int]]:
+    """(cap', orders): the pole cap left after K is taken out and the pole
+    orders of a reduced basis of the solutions, so that
+    dim L(D - k*infinity) = _dim_below(cap' - k, orders) for every k,
+    whatever the sign of cap'.
+
+    See the module docstring for how the conditions are stated and how
+    the two pole orders of that basis give every dimension.
+    """
+    cap, zeros, data = _conditions(divisor)
+    return cap, _orders(divisor.curve, zeros, data)
 
 
 def _dim_below(q: int, orders: tuple[int, ...]) -> int:
@@ -512,7 +527,10 @@ def rr_space_dims(divisor: Divisor, count: int) -> list[int]:
     These spaces share their affine conditions, so one reduced basis of
     their solutions serves them all.
     """
-    cap, orders = _pole_orders(divisor)
+    cap, zeros, data = _conditions(divisor)
+    if cap < 0:  # no solution has a pole order below 0
+        return [0] * count
+    orders = _orders(divisor.curve, zeros, data)
     return [_dim_below(q, orders) for q in range(cap, cap - count, -1)]
 
 
@@ -538,13 +556,13 @@ def h0_sequence(divisor: Divisor, cover: ComposedMap) -> CohSequence:
     minimal window needed to recover the direct image.
 
     Riemann-Roch answers the degrees outside [0, 2g - 2]; the first probe
-    of any other degree computes the pole orders there, and every such
+    of any other degree computes the pole orders of D, and every such
     probe reads its dimension from them.  The walk starts at
     l = (d - g) // n, where deg >= g makes the value positive and which
     is at least the smallest twist, so every probe lies in the window.
     """
     n, d, g = cover.degree, divisor.degree, divisor.curve.genus
-    solved = None  # (l, cap', orders) at the first oracle degree probed
+    solved = None  # (cap', orders) of D, at the first oracle degree probed
 
     def h0_at(l: int) -> int:
         nonlocal solved
@@ -554,17 +572,41 @@ def h0_sequence(divisor: Divisor, cover: ComposedMap) -> CohSequence:
         if deg > 2 * g - 2:
             return deg + 1 - g
         if solved is None:
-            # cap' = deg + deg U0 >= 0 here, so the orders are computed.
-            solved = (l, *_pole_orders(divisor.shift_infinity(-n * l)))
-        first, cap, orders = solved
-        return _dim_below(cap - n * (l - first), orders)
+            solved = _pole_orders(divisor)
+        cap, orders = solved
+        return _dim_below(cap - n * l, orders)
 
     return h0_sequence_from_callable(h0_at, n, start=(d - g) // n)
 
 
 def pushforward(divisor: Divisor, cover: ComposedMap) -> SplittingType:
-    """Splitting type of the direct image of O(D) under the cover."""
-    return splitting_from_h0_sequence(h0_sequence(divisor, cover))
+    """Splitting type of the direct image of O(D) under the cover.
+
+    With v_j the reduced basis of pole orders o_j that ``_pole_orders``
+    describes, the x^i v_j, 0 <= i < m, are a basis over F_p[z], z = x^m,
+    whose pole orders o_j + 2i are distinct, so the direct image is the
+    sum of O(floor((cap' - o_j - 2i) / 2m)) (Hess's reduced basis at
+    infinity, see the module docstring).  For each o, with
+    a, r = divmod(cap' - o, 2m), that is min(m, r // 2 + 1) copies of a
+    and the rest a - 1.
+
+    When no degree d - 2m l lies in [0, 2g - 2], Riemann-Roch gives every
+    dim L(D - 2m l infinity), and they are those of d * infinity, whose
+    basis 1, y has orders 0 and 2g + 1 and cap' = d: no orders are
+    computed.  ``splitting_from_h0_sequence(h0_sequence(D, cover))`` is
+    the same answer by the extraction from computed dimensions.
+    """
+    m, n, d, g = cover.exponent, cover.degree, divisor.degree, divisor.curve.genus
+    if d % n > 2 * g - 2:  # no oracle degree: the orders of d * infinity
+        cap, orders = d, (0, 2 * g + 1)
+    else:
+        cap, orders = _pole_orders(divisor)
+    pairs = []
+    for o in orders:
+        a, r = divmod(cap - o, n)
+        top = min(m, r // 2 + 1)
+        pairs += [(a, top), (a - 1, m - top)]
+    return SplittingType.from_pairs(pairs)
 
 
 def is_exceptional_class(divisor: Divisor, cover: ComposedMap) -> bool:

@@ -70,6 +70,34 @@ def test_bounds_subcommand():
     assert "equality" in out
 
 
+# (name, curve, divisor, m): hyper push outputs kept byte for byte in
+# tests/golden/hyper_push/<name>.<format>.
+GENUS2 = "p=5; f=0,1,0,0,0,1"
+HYPER_PUSH_CASES = (
+    ("weierstrass", GENUS2, "inf:1; pt:0,0:7", 1),
+    ("split-41", GENUS2, "inf:-3; pt:2,2:41; pt:3,1:-2", 3),
+    ("far-below", GENUS2, "inf:-30000", 1),
+    ("far-below-m3", GENUS2, "inf:-30000", 3),
+    ("m50", GENUS2, "inf:4; pt:2,2:3; pt:0,0:-1", 50),
+    ("conjugates", GENUS2, "pt:2,2:3; pt:2,3:-5", 1),
+    ("genus3", "p=7; f=1,2,0,0,1,0,0,1", "inf:2; pt:3,0:3; pt:2,3:-2; pt:5,5:4", 3),
+    ("genus1-m50", "p=7; f=1,1,0,1", "inf:3; pt:2,2:-1", 50),
+)
+FORMATS = {"text": "txt", "json": "json", "csv": "csv"}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name, curve, divisor, m", HYPER_PUSH_CASES,
+                         ids=[case[0] for case in HYPER_PUSH_CASES])
+def test_hyper_push_matches_golden_files(name, curve, divisor, m, fmt, tmp_path):
+    target = tmp_path / "push.out"
+    code = cli.main(["hyper", "push", "--curve", curve, "--divisor", divisor,
+                     "--m", str(m), "--format", fmt, "--out", str(target)])
+    assert code == 0
+    golden = GOLDEN / "hyper_push" / f"{name}.{FORMATS[fmt]}"
+    assert target.read_bytes() == golden.read_bytes()
+
+
 def test_hyper_push_text_output():
     code, out, _ = run_cli("hyper", "push", "--curve", "p=5; f=0,1,0,0,0,1",
                            "--divisor", "inf:0", "--m", "1")

@@ -328,6 +328,30 @@ def test_one_elimination_per_pushforward(monkeypatch):
     assert seen == {True, False}
 
 
+@pytest.mark.parametrize("text, m, orders_calls, budget", [
+    ("pt:2,2:800", 1000, 0, 0.05),  # 800 mod 2000 > 2: Riemann-Roch gives every h0
+    ("inf:-1; pt:2,2:3", 100000, 1, 0.5),
+])
+def test_pushforward_at_large_map_degree(genus2_curve, monkeypatch, text, m, orders_calls, budget):
+    # O(1) arithmetic per pole order, whatever the map degree.
+    calls = []
+    pole_orders = hyperelliptic._pole_orders
+
+    def counted(divisor):
+        calls.append(divisor)
+        return pole_orders(divisor)
+
+    monkeypatch.setattr(hyperelliptic, "_pole_orders", counted)
+    divisor = divisor_from_string(genus2_curve, text)
+    start = time.perf_counter()
+    image = pushforward(divisor, ComposedMap(m))
+    elapsed = time.perf_counter() - start
+    assert image.rank == 2 * m
+    assert image.degree == divisor.degree + 1 - 2 - 2 * m
+    assert len(calls) == orders_calls
+    assert elapsed < budget, f"{elapsed:.3f}s"
+
+
 def _conditions_left(divisor):
     """deg U0: |m(P) - m(iota P)| over the split x-values, plus one for
     each ramification point of odd multiplicity."""

@@ -1,18 +1,29 @@
 """The oracle's Newton-coordinate remainder sequence against the
 condition-matrix route of tests/reference_oracle.py: the same dimensions
 and the same h0 windows, on every sampler the oracle's results have been
-checked on; and its sequence on the top coordinates against the whole
-sequence."""
+checked on; ``pushforward``'s read-out of the reduced basis against the
+extraction from either route's h0 window; and its sequence on the top
+coordinates against the whole sequence."""
 
 import importlib.util
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import pushfwd.hyperelliptic as hyperelliptic
-from pushfwd import ComposedMap, Divisor, HyperellipticCurve, h0_sequence
+from pushfwd import (
+    ComposedMap,
+    Divisor,
+    HyperellipticCurve,
+    curve_from_string,
+    divisor_from_string,
+    h0_sequence,
+    pushforward,
+    splitting_from_h0_sequence,
+)
 from pushfwd.campaigns import sample_curve, sample_divisor
 from pushfwd.expansions import poly_is_squarefree
 from reference_oracle import (
@@ -190,6 +201,95 @@ SAMPLERS = {
 def test_newton_route_matches_the_condition_matrix(sampler, count_of):
     for divisor, cover in sampler():
         assert_same_as_reference(divisor, cover, count_of(divisor.curve.genus))
+
+
+def cap_below_zero():
+    # 200 campaign-sampler divisors with a degree d - 2m l in [0, 2g - 2],
+    # moved down by a multiple of 2m until their pole cap cap' is negative.
+    rng = random.Random(31)
+    made = 0
+    while made < 200:
+        curve = sample_curve(rng, rng.randint(1, 5))
+        divisor, cover = sample_divisor(rng, curve), ComposedMap(rng.randint(1, 6))
+        n = cover.degree
+        if divisor.degree % n > 2 * curve.genus - 2:
+            continue
+        cap = hyperelliptic._pole_orders(divisor)[0]
+        yield divisor.shift_infinity(-n * (max(0, cap) // n + rng.randint(1, 20))), cover
+        made += 1
+
+
+def no_oracle_degree():
+    # 200 campaign-sampler divisors, m from g to 8, moved so that no
+    # degree d - 2m l lies in [0, 2g - 2], by up to +-40 covers.
+    rng = random.Random(37)
+    for _ in range(200):
+        curve = sample_curve(rng, rng.randint(1, 4))
+        g = curve.genus
+        divisor, cover = sample_divisor(rng, curve), ComposedMap(rng.randint(g, 8))
+        n = cover.degree
+        target = rng.randint(2 * g - 1, n - 1) + n * rng.randint(-40, 40)
+        yield divisor.shift_infinity(target - divisor.degree % n), cover
+
+
+HAND_CASES = (  # (curve, divisor, m), m up to 1000
+    ("p=5; f=0,1,0,0,0,1", "pt:2,2:800", 1000),
+    ("p=5; f=0,1,0,0,0,1", "inf:-1; pt:2,2:3", 1000),
+    ("p=5; f=0,1,0,0,0,1", "inf:-30000", 1),
+    ("p=5; f=0,1,0,0,0,1", "inf:-30000", 1000),
+    ("p=5; f=0,1,0,0,0,1", "inf:30001", 999),
+    ("p=5; f=0,1,0,0,0,1", "inf:1; pt:0,0:7", 1),
+    ("p=5; f=0,1,0,0,0,1", "inf:-3; pt:2,2:41; pt:3,1:-2", 3),
+    ("p=5; f=0,1,0,0,0,1", "pt:2,2:3; pt:2,3:-5", 1),
+    ("p=5; f=0,1,0,0,0,1", "inf:3; pt:2,2:3; pt:2,3:-5", 500),
+    ("p=5; f=0,1,0,0,0,1", "inf:4; pt:2,2:3; pt:0,0:-1", 50),
+    ("p=5; f=0,1,0,0,0,1", "inf:-199; pt:2,2:60; pt:3,4:-61", 2),
+    ("p=7; f=1,2,0,0,1,0,0,1", "inf:2; pt:3,0:3; pt:2,3:-2; pt:5,5:4", 3),
+    ("p=7; f=1,2,0,0,1,0,0,1", "inf:-40; pt:5,2:47; pt:0,1:-3", 1000),
+    ("p=7; f=1,1,0,1", "inf:3; pt:2,2:-1", 50),
+    ("p=7; f=1,1,0,1", "pt:0,1:-99; pt:2,5:97", 1),
+)
+
+
+def hand_cases():
+    for curve_text, divisor_text, m in HAND_CASES:
+        yield divisor_from_string(curve_from_string(curve_text), divisor_text), ComposedMap(m)
+
+
+def _kind(divisor, cover):
+    """Which route of ``pushforward`` the instance takes."""
+    if divisor.degree % cover.degree > 2 * divisor.curve.genus - 2:
+        return "no oracle degree"
+    return "cap' < 0" if hyperelliptic._pole_orders(divisor)[0] < 0 else "cap' >= 0"
+
+
+READ_OUT_SAMPLERS = {
+    **{name: sampler for name, (sampler, _) in SAMPLERS.items()},
+    "cap-below-zero": cap_below_zero,
+    "no-oracle-degree": no_oracle_degree,
+    "hand-cases": hand_cases,
+}
+
+
+def test_basis_read_out_matches_window_extraction():
+    # pushforward reads the splitting off the reduced basis; the paper's
+    # route extracts it from the computed h0 window, by the oracle and by
+    # the condition matrix.  All three agree on every instance, and every
+    # route of the read-out occurs, in the hand cases too.
+    kinds = {}
+    for name, sampler in READ_OUT_SAMPLERS.items():
+        kinds[name] = Counter()
+        for divisor, cover in sampler():
+            read_out = pushforward(divisor, cover)
+            assert read_out == splitting_from_h0_sequence(h0_sequence(divisor, cover)), \
+                (divisor, cover)
+            assert read_out == splitting_from_h0_sequence(reference_h0_sequence(divisor, cover)), \
+                (divisor, cover)
+            kinds[name][_kind(divisor, cover)] += 1
+    assert set(kinds["cap-below-zero"]) == {"cap' < 0"}
+    assert set(kinds["no-oracle-degree"]) == {"no oracle degree"}
+    assert set(kinds["hand-cases"]) == {"no oracle degree", "cap' < 0", "cap' >= 0"}
+    assert kinds["campaign-sampler"]["cap' >= 0"] > 0
 
 
 def remainder_sequences():

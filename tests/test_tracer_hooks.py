@@ -2,14 +2,15 @@
 
 ``e2ebench/layers.py`` wraps functions where the oracle looks them up, so
 renaming one of them breaks ``e2ebench/run.py --trace 1``.  This test
-installs and removes the tracer around one pushforward.
+installs and removes the tracer around one pushforward, which reads the
+basis and walks no window, and one h0 window of the same input.
 """
 
 import importlib.util
 from pathlib import Path
 
 import pushfwd.hyperelliptic as hyperelliptic
-from pushfwd import ComposedMap, Divisor, HyperellipticCurve, pushforward
+from pushfwd import ComposedMap, Divisor, HyperellipticCurve, h0_sequence, pushforward
 
 LAYERS = Path(__file__).resolve().parents[1] / "e2ebench" / "layers.py"
 PATCHED = ("series_mul", "split_point_series", "weierstrass_point_series",
@@ -32,8 +33,10 @@ def test_tracer_installs_and_uninstalls():
         curve = HyperellipticCurve(5, [0, 1, 0, 0, 0, 1])
         divisor = Divisor(curve, 2, {curve.point(2, 2): 3, curve.point(0, 0): 1})
         pushforward(divisor, ComposedMap(1))
+        assert tracer.metrics()["expansions.point_series.calls"] > 0
+        assert tracer.metrics()["splitting.window.calls"] == 0
+        h0_sequence(divisor, ComposedMap(1))
     finally:
         tracer.uninstall()
     assert {name: getattr(hyperelliptic, name) for name in PATCHED} == originals
-    assert tracer.metrics()["expansions.point_series.calls"] > 0
     assert tracer.metrics()["splitting.window.calls"] == 1
