@@ -31,7 +31,14 @@ from .hyperelliptic import (
     pushforward,
     rr_space_dim,
 )
-from .splitting import serre_dual, splitting_from_h0_sequence, spread, twist
+from .splitting import (
+    MAX_LISTED_SUMMANDS,
+    serre_dual,
+    splitting_from_h0_sequence,
+    splitting_text,
+    spread,
+    twist,
+)
 from .stabilization import CurveMapContext, spread_bound, stable_form, verify_duality
 
 CAMPAIGN_PRIMES = (5, 7, 11, 13, 17)
@@ -92,16 +99,12 @@ def sample_divisor(rng: random.Random, curve: HyperellipticCurve) -> Divisor:
     return Divisor(curve, at_inf, affine)
 
 
-def _splitting_str(bundle) -> str:
-    return " ".join(str(t) for t in bundle.twists)
-
-
 def _scan_row(*, p="", g="", curve="", divisor="", m="", n="", d="",
               splitting=None, bound=None) -> dict:
     row = dict.fromkeys(SCAN_COLUMNS, "")
     row.update(p=p, g=g, curve=curve, divisor=divisor, m=m, n=n, d=d)
     if splitting is not None:
-        row["splitting"] = _splitting_str(splitting)
+        row["splitting"] = splitting_text(splitting)
         row["spread"] = spread(splitting)
         if bound is not None:
             row["bound"] = str(bound.bound)
@@ -128,7 +131,7 @@ def _window_record(divisor, cover) -> dict:
     seq = h0_sequence(divisor, cover)
     return {"divisor": divisor_to_string(divisor), "m": cover.exponent,
             "lo": seq.lo, "values": list(seq.values),
-            "read_out": _splitting_str(pushforward(divisor, cover))}
+            "read_out": splitting_text(pushforward(divisor, cover))}
 
 
 def _genus0_instance(rng, max_genus, max_m):
@@ -143,7 +146,7 @@ def _genus0_instance(rng, max_genus, max_m):
     )
     inputs = {"n": n, "m": m}
     row = _scan_row(g=0, n=n, d=m, splitting=closed)
-    return ok, inputs, _splitting_str(closed), _splitting_str(extracted), row, ()
+    return ok, inputs, splitting_text(closed), splitting_text(extracted), row, ()
 
 
 def _genus1_instance(rng, max_genus, max_m):
@@ -159,7 +162,7 @@ def _genus1_instance(rng, max_genus, max_m):
         "m": cover.exponent, "exceptional": flag,
     }
     row = _oracle_row(curve, divisor, cover, actual)
-    return (actual == expected, inputs, _splitting_str(expected), _splitting_str(actual), row,
+    return (actual == expected, inputs, splitting_text(expected), splitting_text(actual), row,
             ((divisor, cover),))
 
 
@@ -174,7 +177,7 @@ def _duality_instance(rng, max_genus, max_m):
     inputs = {"curve": curve.to_string(), "divisor": divisor_to_string(divisor),
               "m": cover.exponent}
     row = _oracle_row(curve, divisor, cover, push)
-    return (ok, inputs, _splitting_str(serre_dual(push)), _splitting_str(push_dual), row,
+    return (ok, inputs, splitting_text(serre_dual(push)), splitting_text(push_dual), row,
             ((divisor, cover), (dual, cover)))
 
 
@@ -196,8 +199,8 @@ def _stabilization_instance(rng, max_genus, max_m):
         h1q = rr_space_dim(canonical_divisor(curve) - shifted)
         stable = stable_form(n, h0q, h1q, q)
         ok = ok and push == stable
-        expected += f"; stable form {_splitting_str(stable)}"
-        actual += f"; image {_splitting_str(push)}"
+        expected += f"; stable form {splitting_text(stable)}"
+        actual += f"; image {splitting_text(push)}"
     inputs = {"curve": curve.to_string(), "divisor": divisor_to_string(divisor),
               "m": cover.exponent}
     row = _oracle_row(curve, divisor, cover, push, bound)
@@ -214,7 +217,7 @@ def _composition_instance(rng, max_genus, max_m):
     inputs = {"curve": curve.to_string(), "divisor": divisor_to_string(divisor),
               "m": exponent}
     row = _oracle_row(curve, divisor, cover, one_shot)
-    return (one_shot == staged, inputs, _splitting_str(staged), _splitting_str(one_shot), row,
+    return (one_shot == staged, inputs, splitting_text(staged), splitting_text(one_shot), row,
             ((divisor, cover), (divisor, double)))
 
 
@@ -256,6 +259,9 @@ def run_campaign(name: str, seed: int, trials: int,
         raise ValueError(f"max_genus must be at least 1, got {max_genus}")
     if max_m < 1:
         raise ValueError(f"max_m must be at least 1, got {max_m}")
+    if 2 * max_m > MAX_LISTED_SUMMANDS:
+        raise ValueError(f"max_m must be at most {MAX_LISTED_SUMMANDS // 2}, got {max_m}: "
+                         "a scan row lists every summand of a degree-2m image")
     if name == "stabilization" and max_genus < 2:
         raise ValueError(f"campaign stabilization samples genus 2 and up: "
                          f"max_genus must be at least 2, got {max_genus}")

@@ -32,6 +32,7 @@ from .splitting import (
     h0_sequence_of,
     h1,
     splitting_from_h0_sequence,
+    splitting_text,
     spread,
 )
 from .stabilization import CurveMapContext, spread_bound
@@ -48,9 +49,9 @@ def splitting_payload(bundle: SplittingType) -> dict:
     }
 
 
-def _splitting_text(bundle: SplittingType) -> list[str]:
+def _splitting_lines(bundle: SplittingType) -> list[str]:
     payload = splitting_payload(bundle)
-    lines = ["splitting: " + " ".join(str(t) for t in bundle.twists)]
+    lines = ["splitting: " + splitting_text(bundle)]
     lines += [f"{key}: {payload[key]}" for key in ("rank", "degree", "h0", "h1", "spread")]
     return lines
 
@@ -85,11 +86,11 @@ def _emit_splitting(bundle: SplittingType, args) -> None:
         _emit(_json_text(splitting_payload(bundle)), args)
     elif args.format == "csv":
         payload = splitting_payload(bundle)
-        payload["splitting"] = " ".join(str(t) for t in bundle.twists)
+        payload["splitting"] = splitting_text(bundle)
         _emit(_csv_text(("splitting", "rank", "degree", "h0", "h1", "spread"),
                         [payload]), args)
     else:
-        _emit("\n".join(_splitting_text(bundle)) + "\n", args)
+        _emit("\n".join(_splitting_lines(bundle)) + "\n", args)
 
 
 def _cmd_g0(args) -> int:
@@ -169,7 +170,7 @@ def _cmd_hyper_push(args) -> int:
         row = _oracle_row(curve, divisor, cover, bundle, bound)
         _emit(_csv_text(SCAN_COLUMNS, [row]), args)
     else:
-        lines = _splitting_text(bundle)
+        lines = _splitting_lines(bundle)
         lines.append(
             f"h0 sequence on [{seq.lo}, {seq.hi}]: "
             + " ".join(str(v) for v in seq.values)

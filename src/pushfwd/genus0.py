@@ -20,17 +20,17 @@ def direct_image_g0(n: int, m: int) -> SplittingType:
     if n < 1:
         raise InvalidDegree(f"map degree must be at least 1, got {n}")
     q, i = divmod(m, n)
-    return SplittingType((q,) * (i + 1) + (q - 1,) * (n - i - 1))
+    return SplittingType.from_pairs(((q, i + 1), (q - 1, n - i - 1)))
 
 
 def direct_image_g0_bundle(n: int, bundle: SplittingType) -> SplittingType:
     """Direct image of an arbitrary split bundle, summand by summand."""
     if n < 1:
         raise InvalidDegree(f"map degree must be at least 1, got {n}")
-    twists: list[int] = []
-    for t in bundle.twists:
-        twists.extend(direct_image_g0(n, t).twists)
-    return SplittingType(tuple(twists))
+    pairs: list[tuple[int, int]] = []
+    for t, mult in bundle.pairs():
+        pairs += [(q, k * mult) for q, k in direct_image_g0(n, t).pairs()]
+    return SplittingType.from_pairs(pairs)
 
 
 def g0_oracle_sequence(n: int, m: int) -> CohSequence:

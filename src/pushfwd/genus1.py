@@ -86,17 +86,17 @@ def direct_image_g1(n: int, spec: AtiyahBundleSpec) -> SplittingType:
                     "the exceptional image needs rank * map degree >= 2 "
                     "(an elliptic curve admits no degree-1 map to the line)"
                 )
-            return SplittingType((q,) + (q - 1,) * (rn - 2) + (q - 2,))
-        return SplittingType((q - 1,) * rn)
+            return SplittingType.from_pairs(((q, 1), (q - 1, rn - 2), (q - 2, 1)))
+        return SplittingType.from_pairs(((q - 1, rn),))
     _reject_flag(spec, rn)
-    return SplittingType((q,) * rem + (q - 1,) * (rn - rem))
+    return SplittingType.from_pairs(((q, rem), (q - 1, rn - rem)))
 
 
 def direct_image_g1_bundle(n: int, specs: Iterable[AtiyahBundleSpec]) -> SplittingType:
     """Direct image of a direct sum of indecomposables: the multiset union."""
-    twists: list[int] = []
+    pairs: list[tuple[int, int]] = []
     for spec in specs:
-        twists.extend(direct_image_g1(n, spec).twists)
-    if not twists:
+        pairs += direct_image_g1(n, spec).pairs()
+    if not pairs:
         raise ValueError("need at least one indecomposable summand")
-    return SplittingType(tuple(twists))
+    return SplittingType.from_pairs(pairs)

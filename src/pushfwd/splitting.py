@@ -5,6 +5,12 @@ so a bundle is just the multiset of its twists.  This module provides the
 cohomology table, twisting, the Serre dual, and the reconstruction of a
 splitting type from the integer sequence l -> h0(B(-l)): the multiplicity
 of the twist j is the second difference a_j - 2*a_{j+1} + a_{j+2}.
+
+The multiset is stored in run-length form, as (twist, multiplicity)
+pairs.  Every producer in the package yields a few runs however large the
+rank, so every operation here costs O(runs), not O(rank); only
+:attr:`SplittingType.twists` and :func:`splitting_text` list the summands
+one by one.
 """
 
 from __future__ import annotations
@@ -18,87 +24,121 @@ from .errors import (
     RankMismatch,
 )
 
+# splitting_text lists at most this many summands; the run-length pairs
+# describe a bundle of any rank.
+MAX_LISTED_SUMMANDS = 10**6
+# h0_sequence_from_callable gives up on a walk longer than this.
+MAX_WALK_STEPS = 10_000
 
-@dataclass(frozen=True)
+
+def _canonical(pairs: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Sort (twist, multiplicity) pairs by descending twist and merge equal
+    twists; zero multiplicities are dropped, negative ones rejected."""
+    pairs.sort(reverse=True)
+    out: list[tuple[int, int]] = []
+    for t, mult in pairs:
+        if mult < 0:
+            raise ValueError(f"multiplicity of twist {t} cannot be negative")
+        if mult == 0:
+            continue
+        if out and out[-1][0] == t:
+            out[-1] = (t, out[-1][1] + mult)
+        else:
+            out.append((t, mult))
+    if not out:
+        raise ValueError("a splitting type needs at least one summand")
+    return tuple(out)
+
+
 class SplittingType:
     """A direct sum of line bundles on the line, as a multiset of twists.
 
-    Stored canonically as a descending tuple, so two values are equal
+    Stored canonically as (twist, multiplicity) pairs with strictly
+    descending twists and positive multiplicities, so two values are equal
     exactly when the multisets agree.
     """
 
-    twists: tuple[int, ...]
+    __slots__ = ("_pairs",)
 
-    def __post_init__(self) -> None:
-        ts = tuple(sorted((int(t) for t in self.twists), reverse=True))
-        if not ts:
-            raise ValueError("a splitting type needs at least one summand")
-        object.__setattr__(self, "twists", ts)
+    def __init__(self, twists: Iterable[int]) -> None:
+        self._pairs = _canonical([(int(t), 1) for t in twists])
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "SplittingType":
-        """Build from (twist, multiplicity) pairs."""
-        twists: list[int] = []
-        for t, mult in pairs:
-            if mult < 0:
-                raise ValueError(f"multiplicity of twist {t} cannot be negative")
-            twists.extend([t] * mult)
-        return cls(tuple(twists))
-
-    @property
-    def rank(self) -> int:
-        return len(self.twists)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.twists)
+        """Build from (twist, multiplicity) pairs, in any order."""
+        bundle = cls.__new__(cls)
+        bundle._pairs = _canonical(list(pairs))
+        return bundle
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """(twist, multiplicity) pairs in descending twist order."""
-        out: list[tuple[int, int]] = []
-        for t in self.twists:
-            if out and out[-1][0] == t:
-                out[-1] = (t, out[-1][1] + 1)
-            else:
-                out.append((t, 1))
-        return tuple(out)
+        return self._pairs
+
+    @property
+    def twists(self) -> tuple[int, ...]:
+        """Every summand's twist, descending: rank many ints."""
+        return tuple(t for t, mult in self._pairs for _ in range(mult))
+
+    @property
+    def rank(self) -> int:
+        return sum(mult for _, mult in self._pairs)
+
+    @property
+    def degree(self) -> int:
+        return sum(t * mult for t, mult in self._pairs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SplittingType):
+            return NotImplemented
+        return self._pairs == other._pairs
+
+    def __hash__(self) -> int:
+        return hash(self._pairs)
 
     def __add__(self, other: "SplittingType") -> "SplittingType":
         """Direct sum."""
         if not isinstance(other, SplittingType):
             return NotImplemented
-        return SplittingType(self.twists + other.twists)
-
-    def __iter__(self):
-        return iter(self.twists)
+        return SplittingType.from_pairs(self._pairs + other._pairs)
 
     def __repr__(self) -> str:
-        return f"SplittingType({', '.join(str(t) for t in self.twists)})"
+        return f"SplittingType.from_pairs({self._pairs!r})"
+
+
+def splitting_text(bundle: SplittingType) -> str:
+    """The twists, descending and space-separated, one per summand."""
+    if bundle.rank > MAX_LISTED_SUMMANDS:
+        raise ValueError(
+            f"rank {bundle.rank} has too many summands to list (at most "
+            f"{MAX_LISTED_SUMMANDS}); use --format json for the (twist, mult) pairs"
+        )
+    return "".join([f"{t} " * mult for t, mult in bundle.pairs()])[:-1]
 
 
 def h0(bundle: SplittingType) -> int:
     """dim of global sections: sum of max(0, n_j + 1)."""
-    return sum(max(0, t + 1) for t in bundle.twists)
+    return sum((t + 1) * mult for t, mult in bundle.pairs() if t >= 0)
 
 
 def h1(bundle: SplittingType) -> int:
     """dim of first cohomology: sum of max(0, -n_j - 1)."""
-    return sum(max(0, -t - 1) for t in bundle.twists)
+    return sum((-t - 1) * mult for t, mult in bundle.pairs() if t < -1)
 
 
 def twist(bundle: SplittingType, amount: int) -> SplittingType:
     """Tensor with O(amount): shift every twist."""
-    return SplittingType(tuple(t + amount for t in bundle.twists))
+    return SplittingType.from_pairs([(t + amount, mult) for t, mult in bundle.pairs()])
 
 
 def serre_dual(bundle: SplittingType) -> SplittingType:
     """O(-2) tensor the dual: n_j -> -n_j - 2.  An involution swapping h0 and h1."""
-    return SplittingType(tuple(-t - 2 for t in bundle.twists))
+    return SplittingType.from_pairs([(-t - 2, mult) for t, mult in bundle.pairs()])
 
 
 def spread(bundle: SplittingType) -> int:
     """Largest gap between twist degrees, max n_j - min n_j."""
-    return bundle.twists[0] - bundle.twists[-1]
+    pairs = bundle.pairs()
+    return pairs[0][0] - pairs[-1][0]
 
 
 @dataclass(frozen=True)
@@ -169,10 +209,7 @@ class CohSequence:
 
 
 def _from_second_differences(seq: CohSequence) -> SplittingType:
-    twists: list[int] = []
-    for j, mult in zip(range(seq.lo, seq.hi - 1), seq.second_differences()):
-        twists.extend([j] * mult)
-    return SplittingType(tuple(twists))
+    return SplittingType.from_pairs(zip(range(seq.lo, seq.hi - 1), seq.second_differences()))
 
 
 def splitting_from_h0_sequence(seq: CohSequence) -> SplittingType:
@@ -192,18 +229,24 @@ def splitting_from_h1_sequence(seq: CohSequence) -> SplittingType:
 def h0_sequence_of(bundle: SplittingType) -> CohSequence:
     """The h0 sequence of a known bundle over its minimal valid window.
 
-    Inverse of :func:`splitting_from_h0_sequence`.
+    Inverse of :func:`splitting_from_h0_sequence`.  Walking down from the
+    top, h0(B(-l)) - h0(B(-l-1)) is the number of summands of twist >= l.
     """
-    lo = bundle.twists[-1]
-    hi = bundle.twists[0] + 2
-    values = tuple(h0(twist(bundle, -l)) for l in range(lo, hi + 1))
-    return CohSequence(lo, values, bundle.rank)
+    pairs = bundle.pairs()
+    mults = dict(pairs)
+    above = value = 0
+    values = [0, 0]  # at max twist + 2 and + 1
+    for l in range(pairs[0][0], pairs[-1][0] - 1, -1):
+        above += mults.get(l, 0)
+        value += above
+        values.append(value)
+    return CohSequence(pairs[-1][0], tuple(reversed(values)), bundle.rank)
 
 
 def h0_sequence_from_callable(
     h0_of: Callable[[int], int],
     rank_hint: int,
-    max_steps: int = 10_000,
+    *,
     start: int = 0,
 ) -> CohSequence:
     """Discover the minimal window of ``l -> h0_of(l)`` and package it.
@@ -212,7 +255,7 @@ def h0_sequence_from_callable(
     largest degree with a positive value; the bottom is found by walking
     down until the accumulated second differences reach ``rank_hint``.  The
     callable is queried once per degree, and only inside the window when
-    ``start`` is; ``max_steps`` bounds the walk otherwise.
+    ``start`` is; ``MAX_WALK_STEPS`` bounds the walk otherwise.
     """
     if rank_hint < 1:
         raise InvalidSequence("rank hint must be a positive integer")
@@ -232,14 +275,14 @@ def h0_sequence_from_callable(
         while a(l) > 0:
             l += 1
             steps += 1
-            if steps > max_steps:
+            if steps > MAX_WALK_STEPS:
                 raise InvalidSequence("sequence never vanishes above; giving up")
         top = l - 1
     else:
         while a(l) == 0:
             l -= 1
             steps += 1
-            if steps > max_steps:
+            if steps > MAX_WALK_STEPS:
                 raise InvalidSequence("sequence has no positive values; giving up")
         top = l
     hi = top + 2
@@ -258,7 +301,7 @@ def h0_sequence_from_callable(
             break
         j -= 1
         steps += 1
-        if steps > max_steps:
+        if steps > MAX_WALK_STEPS:
             raise RankMismatch(
                 f"accumulated multiplicity {total} never reached rank {rank_hint}"
             )

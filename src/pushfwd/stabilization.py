@@ -94,7 +94,7 @@ def stable_form(n: int, h0: int, h1: int, q: int) -> SplittingType:
             f"h0 + h1 = {h0 + h1} exceeds the map degree {n}: "
             "the hypothesis n > 2g - 2 must fail for this bundle"
         )
-    return SplittingType((q,) * h0 + (q - 1,) * (n - h0 - h1) + (q - 2,) * h1)
+    return SplittingType.from_pairs(((q, h0), (q - 1, n - h0 - h1), (q - 2, h1)))
 
 
 def spread_bound(ctx: CurveMapContext, mode: str = "any") -> SpreadBound:

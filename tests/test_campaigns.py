@@ -14,6 +14,7 @@ from pushfwd import (
     h0_sequence,
     pushforward,
     splitting_from_h0_sequence,
+    splitting_text,
     twist,
 )
 from pushfwd import campaigns
@@ -30,10 +31,6 @@ BROKEN = (
     ("stabilization", "stable_form", _off_by_one(campaigns.stable_form), 1),
     ("composition", "direct_image_g0_bundle", _off_by_one(campaigns.direct_image_g0_bundle), 2),
 )
-
-
-def _splitting_text(bundle):
-    return " ".join(str(t) for t in bundle.twists)
 
 
 @pytest.mark.parametrize("campaign, name, wrong, count", BROKEN, ids=[b[0] for b in BROKEN])
@@ -54,8 +51,8 @@ def test_failure_exemplar_reproduces_from_its_json(campaign, name, wrong, count,
             assert (seq.lo, list(seq.values)) == (window["lo"], window["values"])
             extracted = splitting_from_h0_sequence(
                 CohSequence(window["lo"], window["values"], cover.degree))
-            assert _splitting_text(extracted) == window["read_out"]
-            assert _splitting_text(pushforward(divisor, cover)) == window["read_out"]
+            assert splitting_text(extracted) == window["read_out"]
+            assert splitting_text(pushforward(divisor, cover)) == window["read_out"]
 
 
 def test_passing_instances_record_no_window(monkeypatch):

@@ -5,9 +5,14 @@ import io
 import json
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pushfwd import cli
 from pushfwd.campaigns import CAMPAIGNS, CampaignReport
@@ -246,3 +251,91 @@ def test_out_flag_writes_file(tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["rank"] == 2
+
+
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize("argv, rank", [
+    (("g0", "--n", HUGE, "--m", "5"), int(HUGE)),
+    (("g1", "--n", HUGE, "--r", "1", "--d", "3"), int(HUGE)),
+    (("g1", "--n", "2", "--r", HUGE, "--d", "3"), 2 * int(HUGE)),
+    (("hyper", "push", "--curve", GENUS2, "--divisor", "inf:2; pt:2,2:3", "--m", HUGE),
+     2 * int(HUGE)),
+], ids=["g0-n", "g1-n", "g1-r", "hyper-push-m"])
+def test_huge_rank_answers_in_json_and_exits_two_in_text(argv, rank, capsys):
+    assert cli.main([*argv, "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["rank"] == rank
+    assert err == ""
+    for fmt in ("text", "csv"):
+        assert cli.main([*argv, "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: rank {rank} has too many summands to list (at most "
+                       "1000000); use --format json for the (twist, mult) pairs\n")
+
+
+@pytest.mark.parametrize("argv, rank", [
+    (("hyper", "push", "--curve", GENUS2, "--divisor", "inf:2; pt:2,2:3", "--m", "1000000"),
+     2_000_000),
+    (("g0", "--n", "300000000", "--m", "5"), 300_000_000),
+], ids=["hyper-push-m-1e6", "g0-n-3e8"])
+def test_large_rank_json_budget(argv, rank, tmp_path):
+    # One int per summand made these take 5 s and over 20 s.
+    target = tmp_path / "image.json"
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        assert cli.main([*argv, "--format", "json", "--out", str(target)]) == 0
+        best = min(best, time.perf_counter() - start)
+    assert json.loads(target.read_text())["rank"] == rank
+    assert best < 0.050
+
+
+def test_verify_rejects_a_max_m_its_scan_rows_cannot_list(capsys):
+    for fmt in ("text", "json", "csv"):
+        code = cli.main(["verify", "--campaign", "duality", "--max-m", "500001",
+                         "--format", fmt])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "max_m must be at most 500000, got 500001" in err
+
+
+numbers = st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30)).map(str)
+commands = st.one_of(
+    st.builds(lambda n, m: ["g0", "--n", n, "--m", m], numbers, numbers),
+    st.builds(lambda n, r, d, flag: ["g1", "--n", n, "--r", r, "--d", d, *flag],
+              numbers, numbers, numbers,
+              st.sampled_from(((), ("--exceptional", "yes"), ("--exceptional", "no")))),
+    st.builds(lambda h0, lo, rank: ["extract", "--h0", h0, "--lo", lo, "--rank", rank],
+              st.sampled_from(("3,1,0,0", "4,2,1,0,0", "1,0,0", "2,1,0,0")),
+              numbers, st.one_of(st.sampled_from(("1", "2")), numbers)),
+    st.builds(lambda g, n, d, mode: ["bounds", "--g", g, "--n", n, "--d", d, "--mode", mode],
+              numbers, numbers, numbers, st.sampled_from(("any", "generic", "degree"))),
+    st.builds(lambda divisor, m: ["hyper", "push", "--curve", GENUS2, "--divisor", divisor,
+                                  "--m", m],
+              st.sampled_from(("inf:2; pt:2,2:3", "inf:-7", "pt:0,0:5; pt:2,3:-1")), numbers),
+)
+
+
+@given(commands, st.sampled_from(("text", "json", "csv")))
+@settings(max_examples=300, deadline=timedelta(milliseconds=500))
+def test_cli_contract_on_huge_integers(argv, fmt):
+    """Every numeric flag of g0, g1, extract, bounds and hyper push, with
+    integers up to 10**30 in size, answers (exit 0) or fails with exit 2
+    and a message; no exception escapes, and each call is fast.  verify
+    is left out: its --trials, --max-genus and --max-m set the amount of
+    work, so a huge value there is a long run, not a contract breach."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main([*argv, "--format", fmt])
+    if code == 0:
+        assert out.getvalue() and not err.getvalue()
+        if fmt == "json":
+            json.loads(out.getvalue())
+    else:
+        assert code == 2
+        assert not out.getvalue()
+        assert err.getvalue().startswith("error: ")

@@ -19,11 +19,14 @@ from pushfwd import (
     serre_dual,
     splitting_from_h0_sequence,
     splitting_from_h1_sequence,
+    splitting_text,
     spread,
     twist,
 )
+from pushfwd.splitting import MAX_LISTED_SUMMANDS
 
-bundles = st.lists(st.integers(-15, 15), min_size=1, max_size=12).map(SplittingType)
+twist_lists = st.lists(st.integers(-15, 15), min_size=1, max_size=12)
+bundles = twist_lists.map(SplittingType)
 
 
 def test_canonical_form_and_equality():
@@ -132,6 +135,13 @@ def test_window_discovery_matches_minimal_window():
     assert found == h0_sequence_of(b)
 
 
+def test_window_discovery_gives_up_on_an_endless_walk():
+    with pytest.raises(InvalidSequence, match="never vanishes above"):
+        h0_sequence_from_callable(lambda l: 1, 1)
+    with pytest.raises(InvalidSequence, match="no positive values"):
+        h0_sequence_from_callable(lambda l: 0, 1)
+
+
 def test_window_discovery_from_a_start_inside_the_window():
     b = SplittingType([2, 0, 0, -3])
     table = {l: h0(twist(b, -l)) for l in range(-30, 30)}
@@ -181,3 +191,70 @@ def test_twist_equivariance_of_extraction(b, l):
     seq = h0_sequence_of(b)
     shifted = CohSequence(seq.lo - l, seq.values, seq.rank_hint)
     assert splitting_from_h0_sequence(shifted) == twist(b, -l)
+
+
+# The run-length form against the one-int-per-summand formulas it replaced.
+def _h0_reference(ts):
+    return sum(max(0, t + 1) for t in ts)
+
+
+@given(twist_lists, bundles, st.integers(-5, 5))
+@settings(max_examples=200)
+def test_stored_form_matches_the_expanded_formulas(ts, other, l):
+    b = SplittingType(ts)
+    ref = tuple(sorted(ts, reverse=True))
+    assert b == SplittingType.from_pairs((t, 1) for t in ts)
+    assert hash(b) == hash(SplittingType.from_pairs((t, 1) for t in ts))
+    assert b.twists == ref
+    pairs = b.pairs()
+    assert all(t > u for (t, _), (u, _) in zip(pairs, pairs[1:]))
+    assert all(mult > 0 for _, mult in pairs)
+
+    assert b.rank == len(ref)
+    assert b.degree == sum(ref)
+    assert h0(b) == _h0_reference(ref)
+    assert h1(b) == sum(max(0, -t - 1) for t in ref)
+    assert spread(b) == ref[0] - ref[-1]
+    assert twist(b, l).twists == tuple(t + l for t in ref)
+    assert serre_dual(b).twists == tuple(sorted((-t - 2 for t in ref), reverse=True))
+    assert (b + other).twists == tuple(sorted(ref + other.twists, reverse=True))
+    assert splitting_text(b) == " ".join(str(t) for t in ref)
+
+    seq = h0_sequence_of(b)
+    assert (seq.lo, seq.hi, seq.rank_hint) == (ref[-1], ref[0] + 2, len(ref))
+    assert seq.values == tuple(_h0_reference([t - k for t in ref])
+                               for k in range(ref[-1], ref[0] + 3))
+
+
+@given(st.lists(st.tuples(st.integers(-15, 15), st.integers(0, 4)), max_size=8))
+def test_from_pairs_drops_zero_multiplicities(runs):
+    expanded = [t for t, mult in runs for _ in range(mult)]
+    if expanded:
+        assert SplittingType.from_pairs(runs) == SplittingType(expanded)
+    else:
+        with pytest.raises(ValueError, match="at least one summand"):
+            SplittingType.from_pairs(runs)
+
+
+def test_from_pairs_rejects_negative_multiplicities_and_no_summands():
+    with pytest.raises(ValueError, match="cannot be negative"):
+        SplittingType.from_pairs([(0, 2), (-1, -1)])
+    for empty in ([], [(3, 0)]):
+        with pytest.raises(ValueError, match="at least one summand"):
+            SplittingType.from_pairs(empty)
+    with pytest.raises(AttributeError):
+        SplittingType([0]).twists = (1,)
+
+
+def test_huge_ranks_stay_run_length():
+    n = 10**30
+    b = SplittingType.from_pairs([(0, 6), (-1, n - 6)])
+    assert (b.rank, b.degree, h0(b), h1(b), spread(b)) == (n, 6 - n, 6, 0, 1)
+    assert serre_dual(serre_dual(b)) == b
+    assert splitting_from_h0_sequence(h0_sequence_of(b)) == b
+    with pytest.raises(ValueError, match="--format json"):
+        splitting_text(b)
+    edge = SplittingType.from_pairs([(1, MAX_LISTED_SUMMANDS)])
+    assert splitting_text(edge) == " ".join(["1"] * MAX_LISTED_SUMMANDS)
+    with pytest.raises(ValueError, match=f"rank {MAX_LISTED_SUMMANDS + 1} "):
+        splitting_text(edge + SplittingType([1]))
