@@ -95,7 +95,7 @@ def sample_divisor(rng: random.Random, curve: HyperellipticCurve) -> Divisor:
     coords = curve.affine_coordinates()
     count = rng.randint(0, min(3, len(coords)))
     chosen = rng.sample(coords, count)
-    affine = {CurvePoint("affine", x, y): rng.choice((-2, -1, 1, 2)) for x, y in chosen}
+    affine = {CurvePoint(x, y): rng.choice((-2, -1, 1, 2)) for x, y in chosen}
     return Divisor(curve, at_inf, affine)
 
 

@@ -14,7 +14,7 @@ import json
 import sys
 from math import floor
 
-from .campaigns import SCAN_COLUMNS, _oracle_row, run_campaign
+from .campaigns import CAMPAIGNS, SCAN_COLUMNS, _oracle_row, run_campaign
 from .errors import PushforwardError
 from .genus0 import direct_image_g0
 from .genus1 import AtiyahBundleSpec, direct_image_g1
@@ -35,7 +35,7 @@ from .splitting import (
     splitting_text,
     spread,
 )
-from .stabilization import CurveMapContext, spread_bound
+from .stabilization import SPREAD_MODES, CurveMapContext, spread_bound
 
 
 def splitting_payload(bundle: SplittingType) -> dict:
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--g", type=int, required=True, help="curve genus (>= 2)")
     bounds.add_argument("--n", type=int, required=True, help="map degree")
     bounds.add_argument("--d", type=int, default=None, help="line bundle degree (degree mode)")
-    bounds.add_argument("--mode", choices=("generic", "any", "degree"), default="any")
+    bounds.add_argument("--mode", choices=SPREAD_MODES, default="any")
     _add_common(bounds)
     bounds.set_defaults(handler=_cmd_bounds)
 
@@ -255,9 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     push.set_defaults(handler=_cmd_hyper_push)
 
     verify = sub.add_parser("verify", help="run a seeded verification campaign")
-    verify.add_argument("--campaign", required=True,
-                        choices=("genus0", "genus1", "duality", "stabilization",
-                                 "composition", "riemann-roch"))
+    verify.add_argument("--campaign", required=True, choices=tuple(CAMPAIGNS))
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--trials", type=int, default=100)
     verify.add_argument("--max-genus", type=int, default=3, dest="max_genus")

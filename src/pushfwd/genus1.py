@@ -34,10 +34,11 @@ class AtiyahBundleSpec:
             raise ValueError(f"rank must be at least 1, got {self.rank}")
 
 
-def _reject_flag(spec: AtiyahBundleSpec, modulus: int) -> None:
+def _reject_flag(spec: AtiyahBundleSpec, why: str) -> None:
+    """Raises if the flag is given where ``why`` says it does not apply."""
     if spec.exceptional is not None:
         raise ExcessFlag(
-            f"degree {spec.degree} is not a multiple of {modulus}: "
+            f"degree {spec.degree} {why}: "
             "the exceptional flag does not apply and must be omitted"
         )
 
@@ -49,12 +50,9 @@ def elliptic_cohomology(spec: AtiyahBundleSpec) -> tuple[int, int]:
     except (1, 1) for the exceptional class — hence the flag is required.
     """
     d = spec.degree
-    if d > 0:
-        _reject_flag(spec, 0)
-        return (d, 0)
-    if d < 0:
-        _reject_flag(spec, 0)
-        return (0, -d)
+    if d:
+        _reject_flag(spec, "is not 0, and the flag applies only at degree 0")
+        return (d, 0) if d > 0 else (0, -d)
     if spec.exceptional is None:
         raise MissingFlag(
             "degree zero on an elliptic curve: specify whether the bundle is "
@@ -88,7 +86,7 @@ def direct_image_g1(n: int, spec: AtiyahBundleSpec) -> SplittingType:
                 )
             return SplittingType.from_pairs(((q, 1), (q - 1, rn - 2), (q - 2, 1)))
         return SplittingType.from_pairs(((q - 1, rn),))
-    _reject_flag(spec, rn)
+    _reject_flag(spec, f"is not a multiple of {rn}")
     return SplittingType.from_pairs(((q, rem), (q - 1, rn - rem)))
 
 

@@ -65,14 +65,17 @@ Comp. 48 (1987), here without reduction.
 Dimensions are invariant under base field extension, so these match the
 geometric values the splitting formulas refer to.
 
-``pushforward`` reads the direct image off the two orders: over
-F_p[z], z = x^m, the x^i v_j with i < m are a basis, so one orders
-computation gives every twist by O(1) arithmetic per order, and none is
-needed when no degree d - 2m l lies in [0, 2g - 2].  ``h0_sequence``
-keeps the paper's route, the window of computed dimensions that the
-campaigns extract from: Riemann-Roch answers the degrees outside
-[0, 2g - 2], one orders computation the degrees inside, and the walk
-starts at floor((d - g) / n).  Nothing is memoized across calls.
+``pushforward`` and ``h0_sequence`` both take their (cap', orders) from
+``_twist_orders``, the one place that says which orders serve every
+dim L(D - 2m l * infinity): those of D, or, when no degree d - 2m l lies
+in [0, 2g - 2], those of d * infinity, which need no orders computation.
+``pushforward`` reads the direct image off the two orders: over F_p[z],
+z = x^m, the x^i v_j with i < m are a basis, so every twist costs O(1)
+arithmetic per order.  ``h0_sequence`` keeps the paper's route, the
+window of dimensions that the campaigns extract from, each read off the
+same orders, with the walk starting at floor((d - g) / n).
+``rr_space_dim`` always states and solves the conditions of D.  Nothing
+is memoized across calls.
 """
 
 from __future__ import annotations
@@ -181,13 +184,11 @@ class HyperellipticCurve:
                 f"({x}, {y}) does not satisfy y^2 = f(x) over F_{p}"
             )
         self._on_curve.add((x, y))
-        return CurvePoint("affine", x, y)
+        return CurvePoint(x, y)
 
     def validate_point(self, pt: "CurvePoint") -> None:
-        """Raises unless pt is an affine point of the curve; f is not
-        evaluated again at a point that ``point`` has checked."""
-        if pt.kind != "affine":
-            raise ValueError("only affine points can carry divisor multiplicities here")
+        """Raises unless pt is a point of the curve; f is not evaluated
+        again at a point that ``point`` has checked."""
         if (pt.x, pt.y) not in self._on_curve:
             self.point(pt.x, pt.y)
 
@@ -202,7 +203,7 @@ class HyperellipticCurve:
 
     def affine_points(self) -> list["CurvePoint"]:
         """All F_p-rational affine points, by x and then y."""
-        return [CurvePoint("affine", x, y) for x, y in self.affine_coordinates()]
+        return [CurvePoint(x, y) for x, y in self.affine_coordinates()]
 
     def to_string(self) -> str:
         return f"p={self.prime}; f={','.join(str(c) for c in self.coeffs)}"
@@ -210,26 +211,14 @@ class HyperellipticCurve:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """A point of the curve: the point at infinity or an affine (x, y)."""
+    """An affine point (x, y) of the curve.  The point at infinity is
+    never a CurvePoint: a divisor holds its coefficient as ``at_infinity``."""
 
-    kind: str
-    x: int | None = None
-    y: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("affine", "infinity"):
-            raise ValueError(f"kind must be 'affine' or 'infinity', got {self.kind!r}")
-        if self.kind == "affine" and (self.x is None or self.y is None):
-            raise ValueError("affine points need both coordinates")
-        if self.kind == "infinity" and not (self.x is None and self.y is None):
-            raise ValueError("the point at infinity has no coordinates")
-
-    @classmethod
-    def infinity(cls) -> "CurvePoint":
-        return cls("infinity")
+    x: int
+    y: int
 
     def is_weierstrass(self) -> bool:
-        return self.kind == "affine" and self.y == 0
+        return self.y == 0
 
 
 def _sorted_support(merged: Mapping) -> tuple:
@@ -521,22 +510,27 @@ def _dim_below(q: int, orders: tuple[int, ...]) -> int:
     return sum(max(0, (q - o) // 2 + 1) for o in orders)
 
 
-def rr_space_dims(divisor: Divisor, count: int) -> list[int]:
-    """[dim L(D - k*infinity) for k in range(count)].
+def _twist_orders(divisor: Divisor, n: int) -> tuple[int, tuple[int, int]]:
+    """(cap', orders) with dim L(D - n*l*infinity) =
+    _dim_below(cap' - n*l, orders) for every l.
 
-    These spaces share their affine conditions, so one reduced basis of
-    their solutions serves them all.
+    When no degree d - n*l lies in [0, 2g - 2], Riemann-Roch gives each of
+    these dimensions, and they are those of d * infinity, whose basis 1, y
+    has orders 0 and 2g + 1 and cap' = d: no orders are computed.
+    Otherwise they are the pole orders of D.
     """
-    cap, zeros, data = _conditions(divisor)
-    if cap < 0:  # no solution has a pole order below 0
-        return [0] * count
-    orders = _orders(divisor.curve, zeros, data)
-    return [_dim_below(q, orders) for q in range(cap, cap - count, -1)]
+    d, g = divisor.degree, divisor.curve.genus
+    if d % n > 2 * g - 2:
+        return d, (0, 2 * g + 1)
+    return _pole_orders(divisor)
 
 
 def rr_space_dim(divisor: Divisor) -> int:
     """dim L(D) = h0 of the line bundle O(D) on the curve."""
-    return rr_space_dims(divisor, 1)[0]
+    cap, zeros, data = _conditions(divisor)
+    if cap < 0:  # no solution has a pole order below 0
+        return 0
+    return _dim_below(cap, _orders(divisor.curve, zeros, data))
 
 
 def linearly_equivalent(d1: Divisor, d2: Divisor) -> bool:
@@ -555,52 +549,32 @@ def h0_sequence(divisor: Divisor, cover: ComposedMap) -> CohSequence:
     """Dimensions l -> dim L(D - n*l*infinity), n = cover degree, over the
     minimal window needed to recover the direct image.
 
-    Riemann-Roch answers the degrees outside [0, 2g - 2]; the first probe
-    of any other degree computes the pole orders of D, and every such
-    probe reads its dimension from them.  The walk starts at
-    l = (d - g) // n, where deg >= g makes the value positive and which
-    is at least the smallest twist, so every probe lies in the window.
+    Every probe reads its dimension off the one (cap', orders) of
+    ``_twist_orders``.  The walk starts at l = (d - g) // n, where
+    deg >= g makes the value positive and which is at least the smallest
+    twist, so every probe lies in the window.
     """
-    n, d, g = cover.degree, divisor.degree, divisor.curve.genus
-    solved = None  # (cap', orders) of D, at the first oracle degree probed
-
-    def h0_at(l: int) -> int:
-        nonlocal solved
-        deg = d - n * l
-        if deg < 0:
-            return 0
-        if deg > 2 * g - 2:
-            return deg + 1 - g
-        if solved is None:
-            solved = _pole_orders(divisor)
-        cap, orders = solved
-        return _dim_below(cap - n * l, orders)
-
-    return h0_sequence_from_callable(h0_at, n, start=(d - g) // n)
+    n = cover.degree
+    cap, orders = _twist_orders(divisor, n)
+    return h0_sequence_from_callable(lambda l: _dim_below(cap - n * l, orders), n,
+                                     start=(divisor.degree - divisor.curve.genus) // n)
 
 
 def pushforward(divisor: Divisor, cover: ComposedMap) -> SplittingType:
     """Splitting type of the direct image of O(D) under the cover.
 
-    With v_j the reduced basis of pole orders o_j that ``_pole_orders``
-    describes, the x^i v_j, 0 <= i < m, are a basis over F_p[z], z = x^m,
+    With v_j the reduced basis of pole orders o_j that ``_twist_orders``
+    gives, the x^i v_j, 0 <= i < m, are a basis over F_p[z], z = x^m,
     whose pole orders o_j + 2i are distinct, so the direct image is the
     sum of O(floor((cap' - o_j - 2i) / 2m)) (Hess's reduced basis at
     infinity, see the module docstring).  For each o, with
     a, r = divmod(cap' - o, 2m), that is min(m, r // 2 + 1) copies of a
-    and the rest a - 1.
-
-    When no degree d - 2m l lies in [0, 2g - 2], Riemann-Roch gives every
-    dim L(D - 2m l infinity), and they are those of d * infinity, whose
-    basis 1, y has orders 0 and 2g + 1 and cap' = d: no orders are
-    computed.  ``splitting_from_h0_sequence(h0_sequence(D, cover))`` is
-    the same answer by the extraction from computed dimensions.
+    and the rest a - 1.  ``splitting_from_h0_sequence(h0_sequence(D,
+    cover))`` is the same answer by the extraction from computed
+    dimensions.
     """
-    m, n, d, g = cover.exponent, cover.degree, divisor.degree, divisor.curve.genus
-    if d % n > 2 * g - 2:  # no oracle degree: the orders of d * infinity
-        cap, orders = d, (0, 2 * g + 1)
-    else:
-        cap, orders = _pole_orders(divisor)
+    m, n = cover.exponent, cover.degree
+    cap, orders = _twist_orders(divisor, n)
     pairs = []
     for o in orders:
         a, r = divmod(cap - o, n)

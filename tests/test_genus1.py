@@ -29,7 +29,7 @@ def test_cohomology_table():
 def test_cohomology_flag_contract():
     with pytest.raises(MissingFlag):
         elliptic_cohomology(AtiyahBundleSpec(2, 0))
-    with pytest.raises(ExcessFlag):
+    with pytest.raises(ExcessFlag, match="applies only at degree 0"):
         elliptic_cohomology(AtiyahBundleSpec(2, 5, True))
 
 

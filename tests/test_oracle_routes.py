@@ -22,6 +22,7 @@ from pushfwd import (
     divisor_from_string,
     h0_sequence,
     pushforward,
+    rr_space_dim,
     splitting_from_h0_sequence,
 )
 from pushfwd.campaigns import sample_curve, sample_divisor
@@ -47,9 +48,9 @@ def _benchmark_workloads():
 
 
 def assert_same_as_reference(divisor, cover, count):
-    """Equal rr_space_dims(D, count) and equal h0 windows through either
-    route."""
-    assert hyperelliptic.rr_space_dims(divisor, count) == \
+    """Equal dim L(D - k*infinity) for k < count and equal h0 windows
+    through either route."""
+    assert [rr_space_dim(divisor.shift_infinity(-k)) for k in range(count)] == \
         reference_rr_space_dims(divisor, count), divisor
     window = h0_sequence(divisor, cover)
     expected = reference_h0_sequence(divisor, cover)
