@@ -39,6 +39,18 @@ def poly_eval(coeffs, x: int, p: int) -> int:
     return acc
 
 
+def poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    """The product of two trimmed lists of residues, itself trimmed: p is
+    prime, so the product of the leads is not 0."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return [c % p for c in out]
+
+
 def poly_derivative(coeffs, p: int) -> list[int]:
     return poly_trim([(k * c) % p for k, c in enumerate(coeffs)][1:])
 
@@ -50,23 +62,40 @@ def _residues(coeffs, p: int) -> list[int]:
 def poly_divmod(num, den, p: int) -> tuple[list[int], list[int]]:
     """(quotient, remainder) of num by den over F_p; the coefficients may
     be any integers."""
-    return _divmod_residues(_residues(num, p), _residues(den, p), p)
+    return divmod_residues(_residues(num, p), _residues(den, p), p)
 
 
-def _divmod_residues(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
-    """``poly_divmod`` of trimmed lists of residues."""
+def divmod_residues(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
+    """``poly_divmod`` of trimmed lists of residues.  Coefficients are
+    reduced only where a quotient term reads them and once at the end."""
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
+    top = len(den) - 1
     inv_lead = pow(den[-1], -1, p)  # a trimmed lead
-    quo = [0] * max(0, len(num) - len(den) + 1)
+    quo = [0] * max(0, len(num) - top)
     rem = list(num)
-    for k in range(len(num) - len(den), -1, -1):
-        coef = (rem[k + len(den) - 1] * inv_lead) % p
+    low = den[:-1]
+    for k in range(len(quo) - 1, -1, -1):
+        coef = rem[k + top] * inv_lead % p
+        quo[k] = coef
         if coef:
-            quo[k] = coef
-            for j, d in enumerate(den):
-                rem[k + j] = (rem[k + j] - coef * d) % p
-    return poly_trim(quo), poly_trim(rem)
+            for j, d in enumerate(low, k):
+                rem[j] -= coef * d
+    return quo, poly_trim([c % p for c in rem[:top]])
+
+
+def poly_axpy(a: list[int], b: list[int], c: int, p: int) -> list[int]:
+    """a + c b for lists of residues a and b and an integer c, trimmed."""
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    out = [(x + c * y) % p for x, y in zip(a, b)] + a[len(b):]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def poly_scale(a: list[int], c: int, p: int) -> list[int]:
+    return [x * c % p for x in a]
 
 
 def poly_gcd(a, b, p: int) -> list[int]:
@@ -75,7 +104,7 @@ def poly_gcd(a, b, p: int) -> list[int]:
 
     A remainder one degree below its divisor, the usual case, is
     a - (q1 x + q0) b with both quotient terms read off the leads, in one
-    pass; a larger degree drop goes through ``_divmod_residues``.
+    pass; a larger degree drop goes through ``divmod_residues``.
     """
     a, b = _residues(a, p), _residues(b, p)
     while b:
@@ -88,12 +117,26 @@ def poly_gcd(a, b, p: int) -> list[int]:
             while r and not r[-1]:
                 r.pop()
         else:
-            _, r = _divmod_residues(a, b, p)
+            _, r = divmod_residues(a, b, p)
         a, b = b, r
     if a:
         inv = pow(a[-1], -1, p)
         a = [(c * inv) % p for c in a]
     return a
+
+
+def poly_xgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(d, t): d = s a + t b is the monic gcd of the trimmed lists of
+    residues a and b, not both 0, for some s; so t is 1 / b mod a when
+    d = 1.  ``poly_gcd``'s loop with the cofactor of b, kept apart from
+    it: curve validation runs ``poly_gcd`` on every new curve, and
+    tracking a cofactor there tripled its time."""
+    t0, t1 = [], [1]
+    while b:
+        q, r = divmod_residues(a, b, p)
+        a, b, t0, t1 = b, r, t1, poly_axpy(t0, poly_mul(q, t1, p), -1, p)
+    inv = pow(a[-1], -1, p)
+    return poly_scale(a, inv, p), poly_scale(t0, inv, p)
 
 
 def poly_is_squarefree(coeffs, p: int) -> bool:

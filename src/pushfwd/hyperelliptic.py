@@ -45,22 +45,44 @@ Riemann-Roch space dimensions are computed exactly over F_p:
    at the start and one more after each step of quotient degree 1.
    There U0 = N_n is a unit vector, V is the interpolant's coordinates
    and x N_i = N_(i+1) + z_i N_i; a step of quotient degree 1 is one
-   fused pass.
+   fused pass;
+6. those orders are n + n' and n - n' + 2g + 1, where n' is the degree
+   of the reduced representative of E - n * infinity, E = div(U0, V)
+   the zeros asked for: the solution of least pole order vanishes on E
+   and on n' more points, and o1 + o2 = 2n + 2g + 1.  So when the n
+   nodes over s x-values are more than B(g, s) (``_doubling_bound``), no
+   series is built: each site's d (P - infinity), and each zero's
+   W - infinity, becomes a reduced Mumford pair (u, v) in monomial
+   coordinates by double-and-add, and these pairs are added and reduced
+   one by one.  A doubling is the Hensel lift u^2,
+   v + (f - v^2) (2 v)^(-1) mod u^2 after the Weierstrass points of the
+   support drop out; an addition is Cantor's composition, the CRT when
+   the supports do not meet; and Cantor's reduction u' = (f - v^2) / u,
+   v' = -v mod u' runs in continued-fraction form, where each later u'
+   is the one before last plus q (v' - v), so only its first step
+   squares v.
 
-The R = deg U + deg K conditions cost O(R * deg f) for the local series,
-whose square root is one C-level dot product per coefficient; the
-deg U0 <= R nodes that remain after K is taken out cost O(deg U0^2), in
-about deg U0 list passes, for the interpolant (one pass for a single
-site), and about (deg U0 - g)^2 / 4 list work for the remainder
-sequence: from deg r_(i-1) = d it reads 2d - n - g coordinates, for d
-from n down to (n + g) / 2.  When deg U0 <= g + 1 none of this is done.
-Nothing is eliminated, and numpy is not used.
+The Newton route's R = deg U + deg K conditions cost O(R * deg f) for the
+local series, whose square root is one C-level dot product per
+coefficient; the deg U0 <= R nodes that remain after K is taken out cost
+O(deg U0^2), in about deg U0 list passes, for the interpolant (one pass
+for a single site), and about (deg U0 - g)^2 / 4 list work for the
+remainder sequence: from deg r_(i-1) = d it reads 2d - n - g
+coordinates, for d from n down to (n + g) / 2.  When deg U0 <= g + 1
+none of this is done.  The Newton route runs only when n <= B(g, s) =
+(40 + 11 g) (4 + floor(log2 s)) / 4, so its cost is bounded by the genus
+and the number s of x-values, and no multiplicity makes it longer.  On
+the doubling route a site of d nodes costs about log2(d) doublings and
+fewer additions, each on polynomials of degree at most 2g + 1 and
+O(g^2), and one addition to the sum of the sites.  Nothing is
+eliminated, and numpy is not used.
 
 The conditions do not depend on the coefficient at infinity, so the two
 pole orders serve dim L(D - k*infinity) for every k (the reduced basis at
 infinity of F. Hess, J. Symbolic Comput. 33 (2002)).  The congruence
 a + b V = 0 mod U is the Mumford-form condition of D. G. Cantor, Math.
-Comp. 48 (1987), here without reduction.
+Comp. 48 (1987): the Newton route solves it without reduction, and the
+doubling route reduces it with Cantor's algorithm.
 
 Dimensions are invariant under base field extension, so these match the
 geometric values the splitting formulas refer to.
@@ -92,9 +114,14 @@ from .errors import (
     WrongGenus,
 )
 from .expansions import (
+    divmod_residues,
+    poly_axpy,
     poly_eval,
     poly_is_squarefree,
+    poly_mul,
+    poly_scale,
     poly_trim,
+    poly_xgcd,
     split_point_series,
 )
 from .expansions import (  # noqa: F401  (e2ebench/layers.py wraps these names)
@@ -365,6 +392,80 @@ def _newton_interpolant(sites, p):
     return nodes, coords
 
 
+def _compose(u1, v1, u2, v2, f, p):
+    """A Mumford pair of div(u1, v1) + div(u2, v2) less its pairs
+    P + iota(P), whose removal leaves the class of E - deg(E) * infinity
+    as it is (Cantor's composition).  With d = gcd(u1, u2, v1 + v2) =
+    s1 u1 + s2 u2 + s3 (v1 + v2) it is u = u1 u2 / d^2 and
+    v = v1 + (s1 u1 (v2 - v1) + s3 (f - v1^2)) / d mod u; when u1 and u2
+    are coprime, d = 1, s3 = 0 and this is the CRT."""
+    d, s1 = poly_xgcd(u2, u1, p)
+    s3: list[int] = []
+    if len(d) > 1:  # the supports meet
+        d1, total = d, poly_axpy(v1, v2, 1, p)
+        d, s3 = poly_xgcd(d1, total, p)
+        s1 = poly_mul(divmod_residues(poly_axpy(d, poly_mul(s3, total, p), -1, p), d1, p)[0], s1, p)
+    w = poly_axpy(poly_mul(poly_mul(s1, u1, p), poly_axpy(v2, v1, -1, p), p),
+                  poly_mul(s3, poly_axpy(f, poly_mul(v1, v1, p), -1, p), p), 1, p)
+    u = poly_mul(u1, u2, p)
+    if len(d) > 1:
+        u = divmod_residues(u, poly_mul(d, d, p), p)[0]
+        w = divmod_residues(w, d, p)[0]
+    return u, divmod_residues(poly_axpy(v1, w, 1, p), u, p)[1]
+
+
+def _reduce(u, v, f, genus, p):
+    """The reduced Mumford pair of the class of div(u, v) - deg(u) * inf."""
+    if len(u) - 1 <= genus:
+        return u, v
+    return _cantor_steps(u, v, divmod_residues(poly_axpy(f, poly_mul(v, v, p), -1, p), u, p)[0],
+                         genus, p)
+
+
+def _cantor_steps(prev, v, u, genus, p):
+    """Cantor's reduction of (prev, v), given its first step's
+    u = (f - v^2) / prev, in continued-fraction form: each step is
+    v' = -v mod u, and with -v = q u + v' the next u is prev + q (v' - v),
+    so only the first step squares v.  Ends at deg u <= g, u made monic."""
+    q, nv = divmod_residues(poly_scale(v, -1, p), u, p)
+    while len(u) - 1 > genus:
+        prev, u, v = u, poly_axpy(prev, poly_mul(q, poly_axpy(nv, v, -1, p), p), 1, p), nv
+        q, nv = divmod_residues(poly_scale(v, -1, p), u, p)
+    return poly_scale(u, pow(u[-1], -1, p), p), nv
+
+
+def _double(u, v, f, genus, p):
+    """The reduced Mumford pair of 2 div(u, v).  The Weierstrass points
+    of the support, where v vanishes, drop out (2 W ~ 2 infinity); the
+    rest is the Hensel lift U = u^2, V = v + u k with
+    k = (f - v^2) / (2 v u) mod u, and w = (f - v^2) / u gives the first
+    reduction step for free: f - V^2 = U ((w - 2 v k) / u - k^2)."""
+    d, inv = poly_xgcd(u, v, p)
+    if len(d) > 1:
+        u = divmod_residues(u, d, p)[0]
+        v = divmod_residues(v, u, p)[1]
+        inv = poly_xgcd(u, v, p)[1]
+    w = divmod_residues(poly_axpy(f, poly_mul(v, v, p), -1, p), u, p)[0]
+    k = divmod_residues(poly_mul(poly_scale(inv, (p + 1) // 2, p), w, p), u, p)[1]
+    big_u, big_v = poly_mul(u, u, p), poly_axpy(v, poly_mul(u, k, p), 1, p)
+    if len(big_u) - 1 <= genus:
+        return big_u, big_v
+    step = divmod_residues(poly_axpy(w, poly_mul(v, k, p), -2, p), u, p)[0]
+    return _cantor_steps(big_u, big_v, poly_axpy(step, poly_mul(k, k, p), -1, p), genus, p)
+
+
+def _multiple(x0, y0, e, f, genus, p):
+    """The reduced Mumford pair of e (P - infinity), P = (x0, y0), e >= 1,
+    by double-and-add, from the top bit of e down."""
+    pu, pv = [-x0 % p, 1], [y0] if y0 else []
+    u, v = pu, pv
+    for bit in bin(e)[3:]:
+        u, v = _double(u, v, f, genus, p)
+        if bit == "1":
+            u, v = _reduce(*_compose(u, v, pu, pv, f, p), f, genus, p)
+    return u, v
+
+
 def _basis_pole_orders(nodes, v, genus, p):
     """Pole orders at infinity of a reduced basis of the solutions (a, b)
     of a + b V = 0 mod U, where U = N_n is the product over the n > g + 1
@@ -477,17 +578,63 @@ def _conditions(divisor: Divisor):
     return cap - 2 * kept, zeros, data
 
 
+def _doubling_bound(genus: int, sites: int) -> int:
+    """B(g, s) = (40 + 11 g) (4 + floor(log2 s)) / 4: at more than B(g, s)
+    nodes over s x-values, the doubling route costs less than the Newton
+    route.  The Newton route's interpolant and remainder sequence grow
+    with the square of the node count; the doubling route pays one
+    addition and reduction per x-value and about log2(d) doublings for a
+    site of d nodes, so its crossover rises with s.  The measured
+    crossover n is the first value of a grid growing by 15% from which
+    s sites of n / s nodes each took less time by doubling, at every
+    larger value tried (two or three random curves over F_10007 per
+    genus, each route the best of three or five runs); each cell is
+    measured / B(g, s):
+
+        g     s = 1     s = 4     s = 16    s = 64
+        1     48/51     63/76    124/102   187/127
+        2     72/62     82/93    124/124   215/155
+        4     82/84    108/126   187/168   326/210
+        10   163/150   187/225   326/300   374/375
+        20   240/260   317/390   480/520   634/650
+    """
+    return (40 + 11 * genus) * (3 + sites.bit_length()) // 4
+
+
+def _newton_orders(curve: HyperellipticCurve, zeros, data) -> tuple[int, int]:
+    """``_orders`` by the local series, interpolant and remainder
+    sequence (module docstring, step 5)."""
+    p = curve.prime
+    sites = [(x0, split_point_series(curve.coeffs, x0, y0, d, p)[1]) for x0, y0, d in data]
+    nodes, coords = _newton_interpolant(zeros + sites, p)
+    return _basis_pole_orders(nodes, coords, curve.genus, p)
+
+
+def _doubling_orders(curve: HyperellipticCurve, zeros, data) -> tuple[int, int]:
+    """``_orders`` as n + n' and n - n' + 2g + 1 (module docstring,
+    step 6), n' the degree of the reduced pair of the sum of every zero
+    W - infinity and every site's d (P - infinity)."""
+    f, g, p = list(curve.coeffs), curve.genus, curve.prime
+    n = len(zeros) + sum(d for _, _, d in data)
+    u, v = [1], []
+    for x0, y0, d in [(x0, 0, 1) for x0, _ in zeros] + data:
+        u, v = _reduce(*_compose(u, v, *_multiple(x0, y0, d, f, g, p), f, p), f, g, p)
+    reduced = len(u) - 1
+    return n + reduced, n - reduced + 2 * g + 1
+
+
 def _orders(curve: HyperellipticCurve, zeros, data) -> tuple[int, int]:
     """The pole orders of a reduced basis of the solutions of the
-    conditions ``_conditions`` states; they do not depend on cap'."""
+    conditions ``_conditions`` states; they do not depend on cap'.
+    By the Newton route for at most B(g, s) nodes over s x-values, else
+    by doubling."""
     g = curve.genus
     n = len(zeros) + sum(d for _, _, d in data)
     if n <= g + 1:  # deg V < n: the remainder sequence takes no step
         return 2 * n, 2 * g + 1
-    p = curve.prime
-    nodes, coords = _newton_interpolant(
-        zeros + [(x0, split_point_series(curve.coeffs, x0, y0, d, p)[1]) for x0, y0, d in data], p)
-    return _basis_pole_orders(nodes, coords, g, p)
+    if n <= _doubling_bound(g, len(zeros) + len(data)):
+        return _newton_orders(curve, zeros, data)
+    return _doubling_orders(curve, zeros, data)
 
 
 def _pole_orders(divisor: Divisor) -> tuple[int, tuple[int, int]]:

@@ -218,14 +218,23 @@ def test_pushforward_far_from_the_oracle_degrees(genus2_curve, text):
     assert h0(image) == rr_space_dim(divisor)
 
 
+def best_of(call, calls=3):
+    """(answer, best time in seconds) of ``calls`` calls."""
+    best = float("inf")
+    for _ in range(calls):
+        start = time.perf_counter()
+        answer = call()
+        best = min(best, time.perf_counter() - start)
+    return answer, best
+
+
 def test_pushforward_large_multiplicity_budget(genus2_curve):
-    # Budget: 5 s for one pushforward of a multiplicity-200 point.
+    # Budget: 50 ms for one pushforward of a multiplicity-200 point, which
+    # is above B(2, 1) and goes by doubling.
     divisor = divisor_from_string(genus2_curve, "inf:2; pt:2,2:200")
     cover = ComposedMap(1)
-    start = time.perf_counter()
-    image = pushforward(divisor, cover)
-    elapsed = time.perf_counter() - start
-    assert elapsed < 5.0, f"took {elapsed:.2f}s"
+    image, elapsed = best_of(lambda: pushforward(divisor, cover))
+    assert elapsed < 0.05, f"took {elapsed:.3f}s"
     assert image.rank == cover.degree
     assert image.degree == divisor.degree + 1 - genus2_curve.genus - cover.degree
     assert h0(image) == rr_space_dim(divisor)
@@ -245,25 +254,72 @@ def test_pushforward_weierstrass_multiplicity_budget(genus2_curve):
     assert h0(image) == rr_space_dim(divisor) == 0
 
 
-@pytest.mark.parametrize("text, budget, expected", [
+@pytest.mark.parametrize("text, budget, calls, expected", [
     # K takes every kept zero out, so a lone ramification point leaves
-    # a single node and no remainder step.
-    ("pt:0,0:-4001", 1.0, [-2001, -2003]),
-    # 2000 nodes at one x-value: the local series (one dot product per
-    # term), a one-pass interpolant and about 1000 remainder steps of one
-    # pass each, over 2d - n - g coordinates at deg r_(i-1) = d: 1998 at
-    # the first step and two fewer at each later one.
-    ("pt:2,2:2000", 1.5, [999, 998]),
-], ids=["pt:0,0:-4001", "pt:2,2:2000"])
-def test_pushforward_unpaired_multiplicity_budgets(genus2_curve, text, budget, expected):
+    # a single node and no remainder step.  Timed on one call.
+    ("pt:0,0:-4001", 1.0, 1, [-2001, -2003]),
+    # Above B(2, 1) nodes a lone site is e (P - infinity) by
+    # double-and-add: about log2(e) doublings of genus-2 Mumford pairs,
+    # whatever e.  The best of three calls.
+    ("pt:2,2:2000", 0.05, 3, [999, 998]),
+    ("pt:2,2:1000000", 0.05, 3, [499999, 499998]),
+    # P + iota(P) ~ 2 infinity: an unpaired multiplicity of 100003.
+    ("pt:2,2:3; pt:2,3:-100000", 0.05, 3, [-49999, -50001]),
+], ids=["pt:0,0:-4001", "pt:2,2:2000", "pt:2,2:1000000", "pt:2,2:3; pt:2,3:-100000"])
+def test_pushforward_unpaired_multiplicity_budgets(genus2_curve, text, budget, calls, expected):
     divisor = divisor_from_string(genus2_curve, text)
     cover = ComposedMap(1)
-    start = time.perf_counter()
-    image = pushforward(divisor, cover)
-    elapsed = time.perf_counter() - start
-    assert elapsed < budget, f"took {elapsed:.2f}s"
+    image, elapsed = best_of(lambda: pushforward(divisor, cover), calls)
+    assert elapsed < budget, f"took {elapsed:.3f}s"
     assert image == SplittingType(expected)
     assert image.degree == divisor.degree + 1 - genus2_curve.genus - cover.degree
+    # 6 (P - infinity) is principal, so e P ~ (e mod 6) P +
+    # (e - e mod 6) * infinity, which the Newton route answers from at
+    # most 5 nodes.
+    P = genus2_curve.point(2, 2)
+    assert linearly_equivalent(Divisor(genus2_curve, 0, {P: 6}), Divisor(genus2_curve, 6))
+    e = sum(m if pt == P else -m for pt, m in divisor.affine if pt.y)
+    if e:
+        r = e % 6
+        small = Divisor(genus2_curve, divisor.degree - r, {P: r})
+        assert pushforward(small, cover) == image
+
+
+def test_pushforward_genus_10_multiplicity_budget():
+    # Budget: 50 ms for a point of multiplicity 10^9 on a genus-10 curve:
+    # about 30 doublings and 13 additions of genus-10 Mumford pairs.
+    rng = random.Random(10)
+    curve = sample_curve(rng, 10, 10007)
+    x = next(x for x in range(10007) if pow(curve.rhs(x), 5003, 10007) == 1)
+    point = curve.point(x, pow(curve.rhs(x), 2502, 10007))
+    divisor = Divisor(curve, 0, {point: 10**9})
+    cover = ComposedMap(1)
+    image, elapsed = best_of(lambda: pushforward(divisor, cover))
+    assert elapsed < 0.05, f"took {elapsed:.3f}s"
+    assert image.rank == cover.degree
+    assert image.degree == divisor.degree + 1 - curve.genus - cover.degree
+    assert h0(image) == rr_space_dim(divisor) == divisor.degree + 1 - curve.genus
+
+
+def test_pushforward_many_sites_budget():
+    # Budget: 50 ms for 30 points of multiplicity 60 on a genus-2 curve:
+    # 1800 nodes over 30 x-values pass B(2, 30) = 124, though no site
+    # passes B(2, 1) = 62, so each point is doubled rather than the
+    # 1800-node interpolant and remainder sequence built.
+    rng = random.Random(30)
+    curve = sample_curve(rng, 2, 10007)
+    points = {}
+    while len(points) < 30:
+        x = rng.randrange(10007)
+        if pow(curve.rhs(x), 5003, 10007) == 1:
+            points[x] = curve.point(x, pow(curve.rhs(x), 2502, 10007))
+    divisor = Divisor(curve, 0, {point: 60 for point in points.values()})
+    cover = ComposedMap(1)
+    image, elapsed = best_of(lambda: pushforward(divisor, cover))
+    assert elapsed < 0.05, f"took {elapsed:.3f}s"
+    assert image.rank == cover.degree
+    assert image.degree == divisor.degree + 1 - curve.genus - cover.degree
+    assert h0(image) == rr_space_dim(divisor) == divisor.degree + 1 - curve.genus
 
 
 def campaign_instances():
@@ -452,6 +508,19 @@ def test_linear_equivalence(genus2_curve):
     p1 = genus2_curve.point(2, 2)
     assert not linearly_equivalent(Divisor(genus2_curve, 0, {p1: 2}), two_inf)
     assert not linearly_equivalent(two_w, Divisor(genus2_curve, 3))
+
+
+@pytest.mark.parametrize("e, expected", [(10**6, False), (10**6 - 1, True)])
+def test_linear_equivalence_of_large_multiples_budget(genus2_curve, e, expected):
+    # Budget: 50 ms.  e P - e Q has two sites of e nodes and opposite
+    # signs, both above B(2, 1); P - Q has order 3 in the Jacobian.
+    P, Q = genus2_curve.point(2, 2), genus2_curve.point(3, 1)
+    assert [k for k in range(1, 7) if linearly_equivalent(
+        Divisor(genus2_curve, 0, {P: k}), Divisor(genus2_curve, 0, {Q: k}))] == [3, 6]
+    same, elapsed = best_of(lambda: linearly_equivalent(
+        Divisor(genus2_curve, 0, {P: e}), Divisor(genus2_curve, 0, {Q: e})))
+    assert elapsed < 0.05, f"took {elapsed:.3f}s"
+    assert same is expected
 
 
 def test_text_round_trip(genus2_curve):

@@ -9,9 +9,13 @@ import importlib.util
 import random
 import sys
 from collections import Counter
+from contextlib import nullcontext
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pushfwd.hyperelliptic as hyperelliptic
 from pushfwd import (
@@ -21,12 +25,13 @@ from pushfwd import (
     curve_from_string,
     divisor_from_string,
     h0_sequence,
+    linearly_equivalent,
     pushforward,
     rr_space_dim,
     splitting_from_h0_sequence,
 )
 from pushfwd.campaigns import sample_curve, sample_divisor
-from pushfwd.expansions import poly_is_squarefree
+from pushfwd.expansions import poly_is_squarefree, split_point_series
 from reference_oracle import (
     reference_basis_pole_orders,
     reference_h0_sequence,
@@ -359,3 +364,222 @@ def test_remainder_sequence_on_top_coordinates_is_exact():
         assert hyperelliptic._basis_pole_orders(nodes, v, genus, p) == expected, (nodes, v, genus, p)
         later_long_quotients += any(d > 1 for d in quotients[1:])
     assert later_long_quotients >= 100
+
+
+# ---------------------------------------------------------------- doubling
+#
+# A divisor of more than B(g, s) nodes over s x-values takes the doubling
+# route: a reduced Mumford pair per site by double-and-add, their reduced
+# sum, and the orders from its degree.  Patching B sends every divisor
+# with more than g + 1 nodes there (B = 0) or none (B = NEWTON_ONLY), so
+# each sampler runs both routes on the same instances.
+
+NEWTON_ONLY = 10**18
+
+
+def route_orders(divisor, bound):
+    """(cap', sorted orders) of ``divisor`` with B(g, s) = ``bound``.
+    Windows, splittings and dimensions are functions of these alone."""
+    with mock.patch.object(hyperelliptic, "_doubling_bound", lambda genus, sites: bound):
+        cap, orders = hyperelliptic._pole_orders(divisor)
+    return cap, sorted(orders)
+
+
+def large_multiplicity_fuzz():
+    # 2000 instances at primes from 3 to 2**31 - 1, genus 1-6: one to three
+    # split points, each with or without its conjugate, multiplicities in
+    # [-200, 200], and at times a ramification point, so that a divisor
+    # on the doubling route can have several sites above B(g, 1), or one,
+    # or none.
+    primes = (3, 5, 7, 11, 13, 10007, 2**31 - 1)
+    rng = random.Random(1987)
+    made = 0
+    while made < 2000:
+        p = primes[made % len(primes)]
+        curve, r = _curve_with_root(rng, p, rng.randint(1, 6))
+        points = _split_points(rng, curve, rng.randint(1, 3))
+        if points is None:
+            continue
+        support = {}
+        for pt in points:
+            support[pt] = rng.randint(-200, 200)
+            if rng.random() < 0.25:
+                support[curve.point(pt.x, -pt.y)] = rng.randint(-200, 200)
+        if rng.random() < 0.3:
+            support[curve.point(r, 0)] = rng.randint(-9, 9)
+        yield Divisor(curve, rng.randint(-20, 20), support), ComposedMap(rng.randint(1, 3))
+        made += 1
+
+
+def many_sites():
+    # 150 instances at primes 10007 and 2**31 - 1, genus 1-4: 3 to 12
+    # split points of multiplicity in [-40, 40], so that the node count
+    # can pass B(g, s) with no site above B(g, 1).
+    rng = random.Random(2002)
+    made = 0
+    while made < 150:
+        curve, _ = _curve_with_root(rng, (10007, 2**31 - 1)[made % 2], rng.randint(1, 4))
+        points = _split_points(rng, curve, rng.randint(3, 12))
+        if points is None:
+            continue
+        support = {pt: rng.choice((-1, 1)) * rng.randint(1, 40) for pt in points}
+        yield Divisor(curve, rng.randint(-20, 20), support), ComposedMap(rng.randint(1, 3))
+        made += 1
+
+
+ROUTE_SAMPLERS = {
+    **{name: sampler for name, (sampler, _) in SAMPLERS.items()},
+    "large-multiplicity-fuzz": large_multiplicity_fuzz,
+    "many-sites": many_sites,
+}
+
+
+def _route(divisor):
+    """("newton" or "doubling", the number of sites above B(g, 1), at
+    most 2): the route the oracle's own bound takes."""
+    genus = divisor.curve.genus
+    _, zeros, data = hyperelliptic._conditions(divisor)
+    n = len(zeros) + sum(d for _, _, d in data)
+    doubled = n > max(genus + 1, hyperelliptic._doubling_bound(genus, len(zeros) + len(data)))
+    big = sum(d > hyperelliptic._doubling_bound(genus, 1) for _, _, d in data)
+    return "doubling" if doubled else "newton", min(big, 2)
+
+
+@pytest.mark.parametrize("sampler", ROUTE_SAMPLERS.values(), ids=ROUTE_SAMPLERS.keys())
+def test_doubling_route_matches_the_newton_route(sampler):
+    # Doubling every site gives the Newton route's (cap', orders), so the
+    # same windows, splittings and dimensions.  The oracle's own B(g, s)
+    # takes one of the two routes; the first 50 splittings of each route
+    # and count of sites above B(g, 1) are compared with the Newton
+    # route's.
+    routes = Counter()
+    for divisor, cover in sampler():
+        assert route_orders(divisor, 0) == route_orders(divisor, NEWTON_ONLY), divisor
+        kind = _route(divisor)
+        routes[kind] += 1
+        if routes[kind] <= 50:
+            with mock.patch.object(hyperelliptic, "_doubling_bound",
+                                   lambda genus, sites: NEWTON_ONLY):
+                expected = pushforward(divisor, cover)
+            assert pushforward(divisor, cover) == expected, (divisor, cover)
+    if sampler is large_multiplicity_fuzz:
+        assert routes["doubling", 1] >= 300 and routes["doubling", 2] >= 300, routes
+    elif sampler is many_sites:
+        assert routes["doubling", 0] >= 30 and routes["newton", 0] >= 30, routes
+    elif sampler is sweep_session:  # only the k = 80 queries pass B(2, 1)
+        assert routes == Counter({("newton", 0): 245, ("doubling", 1): 5}), routes
+    elif sampler is fuzz:  # three or four sites of up to 50 nodes at genus 1-2
+        assert routes == Counter({("newton", 0): 293, ("doubling", 0): 7}), routes
+    else:  # the deep pool and the other samplers stay on the Newton route
+        assert {route for route, _ in routes} == {"newton"}, routes
+
+
+# The deep pool is left out: every window probe of its genus 10-40 ops
+# would double each site, and the test above compares its orders.
+DOUBLED_SAMPLERS = {name: item for name, item in SAMPLERS.items() if name != "deep-pool"}
+
+
+@pytest.mark.parametrize("sampler, count_of", DOUBLED_SAMPLERS.values(),
+                         ids=DOUBLED_SAMPLERS.keys())
+def test_doubling_route_matches_the_condition_matrix(sampler, count_of):
+    with mock.patch.object(hyperelliptic, "_doubling_bound", lambda genus, sites: 0):
+        for divisor, cover in sampler():
+            assert_same_as_reference(divisor, cover, count_of(divisor.curve.genus))
+
+
+def _monomial(x0, coeffs, p):
+    """sum c_k (x - x0)^k in the monomial basis."""
+    out = []
+    for c in reversed(coeffs):
+        out = [(a - x0 * b) % p for a, b in zip([c] + out, out + [0])]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _series_pair(curve, x0, y0, d):
+    """The Mumford pair of d (x0, y0), y0 != 0, from the local series."""
+    p = curve.prime
+    series = split_point_series(curve.coeffs, x0, y0, d, p)[1]
+    return _monomial(x0, [0] * d + [1], p), _monomial(x0, series, p)
+
+
+@st.composite
+def small_divisors(draw):
+    """A divisor of up to three split points, each with or without its
+    conjugate, of multiplicity up to 60, and at times a ramification
+    point, at a prime from 3 to 10007 and genus 1-6."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.sampled_from((3, 5, 7, 11, 13, 10007)))
+    curve, r = _curve_with_root(rng, p, draw(st.integers(1, 6)))
+    points = _split_points(rng, curve, draw(st.integers(1, 3))) or []
+    mult = st.integers(-60, 60)
+    support = {pt: draw(mult) for pt in points}
+    for pt in points[:draw(st.integers(0, len(points)))]:
+        support[curve.point(pt.x, -pt.y)] = draw(mult)
+    if draw(st.booleans()):
+        support[curve.point(r, 0)] = draw(st.integers(-5, 5))
+    return Divisor(curve, 0, support)
+
+
+@settings(max_examples=300, deadline=None)
+@given(divisor=small_divisors())
+def test_orders_depend_only_on_the_reduced_degree(divisor):
+    # The Newton route's orders of E = div(U0, V) are n + n' and
+    # n - n' + 2g + 1, n' the degree of the reduced representative of
+    # E - n * infinity, which Cantor's reduction of the sites' pairs from
+    # their local series gives here.
+    curve = divisor.curve
+    f, p, g = list(curve.coeffs), curve.prime, curve.genus
+    _, zeros, data = hyperelliptic._conditions(divisor)
+    u, v = [1], []
+    for pair in [([-x0 % p, 1], []) for x0, _ in zeros] + \
+            [_series_pair(curve, x0, y0, d) for x0, y0, d in data]:
+        u, v = hyperelliptic._compose(u, v, *pair, f, p)
+    n, reduced = len(u) - 1, len(hyperelliptic._reduce(u, v, f, g, p)[0]) - 1
+    assert n == len(zeros) + sum(d for _, _, d in data)
+    assert route_orders(divisor, NEWTON_ONLY)[1] == \
+        sorted((n + reduced, n - reduced + 2 * g + 1)), divisor
+
+
+@settings(max_examples=300, deadline=None)
+@given(divisor=small_divisors(), e=st.integers(1, 80))
+def test_doubling_gives_the_reduced_pair(divisor, e):
+    # A class has one reduced pair: double-and-add reaches the one that
+    # Cantor's reduction gives for the e-node site of a point from its
+    # local series, and so does it after adding another point.
+    curve = divisor.curve
+    f, p, g = list(curve.coeffs), curve.prime, curve.genus
+    split = [pt for pt, _ in divisor.affine if pt.y]
+    if not split:
+        return
+    P = split[0]
+    site = _series_pair(curve, P.x, P.y, e)
+    doubled = hyperelliptic._multiple(P.x, P.y, e, f, g, p)
+    assert doubled == hyperelliptic._reduce(*site, f, g, p), (divisor, e)
+    for Q, _ in divisor.affine:
+        other = ([-Q.x % p, 1], [Q.y] if Q.y else [])
+        assert hyperelliptic._reduce(*hyperelliptic._compose(*doubled, *other, f, p), f, g, p) == \
+            hyperelliptic._reduce(*hyperelliptic._compose(*site, *other, f, p), f, g, p), \
+            (divisor, e, Q)
+
+
+@pytest.mark.parametrize("doubled", [False, True], ids=["own-bound", "doubling-everywhere"])
+def test_linear_equivalence_of_multiples_matches_the_condition_matrix(doubled):
+    # e P ~ e Q exactly when e (P - Q) has a one-dimensional L, for
+    # e <= 30 on the three test curves; both answers occur.
+    seen = set()
+    with mock.patch.object(hyperelliptic, "_doubling_bound", lambda genus, sites: 0) if doubled \
+            else nullcontext():
+        for text in ("p=5; f=1,1,0,1", "p=5; f=0,1,0,0,0,1", "p=7; f=1,2,0,0,1,0,0,1"):
+            curve = curve_from_string(text)
+            points = curve.affine_points()
+            for P, Q in zip(points, points[1:] + points[:1]):
+                for e in range(1, 31):
+                    same = linearly_equivalent(Divisor(curve, 0, {P: e}),
+                                               Divisor(curve, 0, {Q: e}))
+                    difference = Divisor(curve, 0, {P: e, Q: -e})
+                    assert same == (reference_rr_space_dims(difference, 1)[0] == 1), \
+                        (text, P, Q, e)
+                    seen.add(same)
+    assert seen == {True, False}
