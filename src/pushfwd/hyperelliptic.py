@@ -39,13 +39,11 @@ Riemann-Roch space dimensions are computed exactly over F_p:
    n + g, and with m = deg r_(i-1) the orders are o1 = 2m and o2 =
    2 (n - m) + 2g + 1.  When n <= g + 1, deg V < n stops it at once:
    the orders are 2n and 2g + 1, and no series or interpolant is built.
-   Otherwise a step from r_(i-1) reads no coefficient of degree below
-   n + g + 1 - deg r_(i-1) (see ``_basis_pole_orders``), so it runs on
-   the Newton coordinates from there up: the lowest g + 1 are dropped
-   at the start and one more after each step of quotient degree 1.
-   There U0 = N_n is a unit vector, V is the interpolant's coordinates
-   and x N_i = N_(i+1) + z_i N_i; a step of quotient degree 1 is one
-   fused pass;
+   Otherwise the quotients it takes depend only on the coefficients of
+   degree > g (see ``_basis_pole_orders``), so it runs on the Newton
+   coordinates above the lowest g + 1, where U0 = N_n is a unit vector,
+   V is the interpolant's coordinates and x N_i = N_(i+1) + z_i N_i; a
+   step of quotient degree 1 is one fused pass;
 6. those orders are n + n' and n - n' + 2g + 1, where n' is the degree
    of the reduced representative of E - n * infinity, E = div(U0, V)
    the zeros asked for: the solution of least pole order vanishes on E
@@ -66,8 +64,8 @@ The Newton route's R = deg U + deg K conditions cost O(R * deg f) for the
 local series, whose square root is one C-level dot product per
 coefficient; the deg U0 <= R nodes that remain after K is taken out cost
 O(deg U0^2), in about deg U0 list passes, for the interpolant (one pass
-for a single site), and about (deg U0 - g)^2 / 4 list work for the
-remainder sequence: from deg r_(i-1) = d it reads 2d - n - g
+for a single site), and about 3 (deg U0 - g)^2 / 8 list work for the
+remainder sequence: from deg r_(i-1) = d it reads d - g - 1
 coordinates, for d from n down to (n + g) / 2.  When deg U0 <= g + 1
 none of this is done.  The Newton route runs only when n <= B(g, s) =
 (40 + 11 g) (4 + floor(log2 s)) / 4, so its cost is bounded by the genus
@@ -87,21 +85,20 @@ doubling route reduces it with Cantor's algorithm.
 Dimensions are invariant under base field extension, so these match the
 geometric values the splitting formulas refer to.
 
-``pushforward`` and ``h0_sequence`` both take their (cap', orders) from
-``_twist_orders``, the one place that says which orders serve every
-dim L(D - 2m l * infinity): those of D, or, when no degree d - 2m l lies
-in [0, 2g - 2], those of d * infinity, which need no orders computation.
+``pushforward`` and ``h0_sequence`` both make one ``_pole_orders`` call,
+whose (cap', orders) give every dim L(D - 2m l * infinity).
 ``pushforward`` reads the direct image off the two orders: over F_p[z],
 z = x^m, the x^i v_j with i < m are a basis, so every twist costs O(1)
 arithmetic per order.  ``h0_sequence`` keeps the paper's route, the
 window of dimensions that the campaigns extract from, each read off the
 same orders, with the walk starting at floor((d - g) / n).
-``rr_space_dim`` always states and solves the conditions of D.  Nothing
-is memoized across calls.
+``rr_space_dim`` reads dim L(D) off the same orders, and does not
+compute them when cap' < 0.  Nothing is memoized across calls.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -213,11 +210,13 @@ class HyperellipticCurve:
         self._on_curve.add((x, y))
         return CurvePoint(x, y)
 
-    def validate_point(self, pt: "CurvePoint") -> None:
-        """Raises unless pt is a point of the curve; f is not evaluated
-        again at a point that ``point`` has checked."""
-        if (pt.x, pt.y) not in self._on_curve:
-            self.point(pt.x, pt.y)
+    def validate_point(self, pt: "CurvePoint") -> "CurvePoint":
+        """pt with its coordinates reduced mod p; raises unless it is a
+        point of the curve.  f is not evaluated again at a point that
+        ``point`` has checked, whose coordinates are already reduced."""
+        if (pt.x, pt.y) in self._on_curve:
+            return pt
+        return self.point(pt.x, pt.y)
 
     def affine_coordinates(self) -> list[tuple[int, int]]:
         """(x, y) of every F_p-rational affine point, by x and then y."""
@@ -248,6 +247,16 @@ class CurvePoint:
         return self.y == 0
 
 
+def _integer(value, field: str, point: CurvePoint | None = None) -> int:
+    """``operator.index(value)``, or a ValueError naming the field (and
+    the point whose field it is)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        of = f" of pt:{point.x},{point.y}" if point else ""
+        raise ValueError(f"{field}{of} must be an integer, got {value!r}") from None
+
+
 def _sorted_support(merged: Mapping) -> tuple:
     """The canonical affine part: nonzero multiplicities sorted by (x, y)."""
     return tuple(sorted(((pt, m) for pt, m in merged.items() if m != 0),
@@ -260,7 +269,8 @@ class Divisor:
 
     The affine part is stored canonically as ((point, multiplicity), ...)
     sorted by coordinates; zero multiplicities are dropped and support
-    points are validated against the curve.
+    points are validated against the curve and keyed by their coordinates
+    mod p.
     """
 
     curve: HyperellipticCurve
@@ -271,10 +281,10 @@ class Divisor:
         raw = self.affine.items() if isinstance(self.affine, Mapping) else self.affine
         merged: dict[CurvePoint, int] = {}
         for pt, mult in raw:
-            self.curve.validate_point(pt)
-            merged[pt] = merged.get(pt, 0) + int(mult)
+            pt = self.curve.validate_point(pt)
+            merged[pt] = merged.get(pt, 0) + _integer(mult, "multiplicity", pt)
         object.__setattr__(self, "affine", _sorted_support(merged))
-        object.__setattr__(self, "at_infinity", int(self.at_infinity))
+        object.__setattr__(self, "at_infinity", _integer(self.at_infinity, "at_infinity"))
 
     @property
     def degree(self) -> int:
@@ -291,7 +301,8 @@ class Divisor:
         return divisor
 
     def shift_infinity(self, amount: int) -> "Divisor":
-        return Divisor._canonical(self.curve, self.at_infinity + int(amount), self.affine)
+        return Divisor._canonical(self.curve, self.at_infinity + _integer(amount, "amount"),
+                                  self.affine)
 
     def _require_same_curve(self, other: "Divisor") -> None:
         if self.curve != other.curve:
@@ -330,6 +341,7 @@ class ComposedMap:
     exponent: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "exponent", _integer(self.exponent, "exponent"))
         if self.exponent < 1:
             raise ValueError(f"exponent must be at least 1, got {self.exponent}")
 
@@ -478,37 +490,21 @@ def _basis_pole_orders(nodes, v, genus, p):
     With m = deg r_(i-1), row i - 1 then has the even pole order 2m of its
     a and row i the odd pole order 2 (n - m) + 2g + 1 of its b y.
 
-    Before each step it drops the Newton coordinates below
-    k = n + g + 1 - deg r_(i-1): the lowest g + 1 at the start, and one
-    more after each step of quotient degree 1.  Restart the sequence at
-    a pair (A, B) = (r_(i-1), r_i) where coordinates are dropped: those
-    kept are the coordinates of A div N_k and B div N_k in the Newton
-    basis N_j / N_k of the nodes from k up, on which x acts exactly.  So
-    while the quotients are those of the whole sequence, each later
-    remainder rho_j = s_j A + t_j B comes out as s_j (A div N_k) +
-    t_j (B div N_k), which N_k times misses rho_j by s_j (A mod N_k) +
-    t_j (B mod N_k).  With deg t_j = deg A - deg rho_(j-1) >= deg s_j,
-    that miss has degree at most deg A - deg rho_(j-1) + k - 1 =
-    n + g - deg rho_(j-1), the same bound whichever pair the drop was
-    made at, so all the misses sum to a polynomial of degree at most
-    n + g - deg r_(j-1) at every later r_j.  A quotient of r_(j-1) by r_j reads only coefficients of degree
-    at least 2 deg r_j - deg r_(j-1) (von zur Gathen and Gerhard, Modern
-    Computer Algebra, 11.1), all above the misses while
-    2 deg r_j >= n + g + 1; when that fails, the next test stops whatever
-    r_(j+1) is.  deg r_j is above the misses while
-    deg r_j + deg r_(j-1) >= n + g + 1, and when that fails, so does the
-    test on what is left of r_j.  So each test reads the degrees of the
-    whole sequence and stops where it does.  One coordinate more per step
-    raises the bound to n + g + 1 - deg r_(j-1), which reaches the lowest
-    coefficient a quotient reads when 2 deg r_j = n + g + 1, and the
-    orders change.
+    It runs on q_i = r_i div N_(g+1) instead, whose Newton coordinates
+    are those of r_i above the lowest g + 1, in the Newton basis N'_j of
+    the nodes above the lowest g + 1.  This is exact (von zur
+    Gathen and Gerhard, Modern Computer Algebra, 11.1): N_(g+1) divides U,
+    so while the quotients agree, r_i - N_(g+1) q_i = t_i (V mod N_(g+1))
+    has degree at most n - deg r_(i-1) + g, below deg r_i until the test
+    stops, and a quotient read from q_(i-1) and q_i is exact while
+    2 deg r_i > n + g; when it is not, the next test stops whatever
+    r_(i+1) is.  So each test reads deg r_i = deg q_i + g + 1 and stops
+    where the full sequence does; one dropped node more breaks this.
     """
-    n, low = len(nodes), 0  # list index i holds the coordinate of N_(i+low)
-    prev, cur = [0] * n + [1], poly_trim(v)
-    while cur and len(prev) + len(cur) - 2 + 2 * low > n + genus:
-        # Keep the coordinates from n + g + 1 - deg prev up.
-        drop = n + genus + 2 - len(prev) - 2 * low
-        prev, cur, nodes, low = prev[drop:], cur[drop:], nodes[drop:], low + drop
+    n, low = len(nodes), genus + 1
+    nodes = nodes[low:]
+    prev, cur = [0] * (n - low) + [1], poly_trim(v[low:])
+    while cur and len(prev) + len(cur) - 2 > n + genus - 2 * low:
         db = len(cur) - 1
         inv = pow(cur[-1], -1, p)  # a trimmed lead
         if len(prev) == len(cur) + 1:
@@ -657,21 +653,6 @@ def _dim_below(q: int, orders: tuple[int, ...]) -> int:
     return sum(max(0, (q - o) // 2 + 1) for o in orders)
 
 
-def _twist_orders(divisor: Divisor, n: int) -> tuple[int, tuple[int, int]]:
-    """(cap', orders) with dim L(D - n*l*infinity) =
-    _dim_below(cap' - n*l, orders) for every l.
-
-    When no degree d - n*l lies in [0, 2g - 2], Riemann-Roch gives each of
-    these dimensions, and they are those of d * infinity, whose basis 1, y
-    has orders 0 and 2g + 1 and cap' = d: no orders are computed.
-    Otherwise they are the pole orders of D.
-    """
-    d, g = divisor.degree, divisor.curve.genus
-    if d % n > 2 * g - 2:
-        return d, (0, 2 * g + 1)
-    return _pole_orders(divisor)
-
-
 def rr_space_dim(divisor: Divisor) -> int:
     """dim L(D) = h0 of the line bundle O(D) on the curve."""
     cap, zeros, data = _conditions(divisor)
@@ -697,12 +678,12 @@ def h0_sequence(divisor: Divisor, cover: ComposedMap) -> CohSequence:
     minimal window needed to recover the direct image.
 
     Every probe reads its dimension off the one (cap', orders) of
-    ``_twist_orders``.  The walk starts at l = (d - g) // n, where
+    ``_pole_orders``.  The walk starts at l = (d - g) // n, where
     deg >= g makes the value positive and which is at least the smallest
     twist, so every probe lies in the window.
     """
     n = cover.degree
-    cap, orders = _twist_orders(divisor, n)
+    cap, orders = _pole_orders(divisor)
     return h0_sequence_from_callable(lambda l: _dim_below(cap - n * l, orders), n,
                                      start=(divisor.degree - divisor.curve.genus) // n)
 
@@ -710,7 +691,7 @@ def h0_sequence(divisor: Divisor, cover: ComposedMap) -> CohSequence:
 def pushforward(divisor: Divisor, cover: ComposedMap) -> SplittingType:
     """Splitting type of the direct image of O(D) under the cover.
 
-    With v_j the reduced basis of pole orders o_j that ``_twist_orders``
+    With v_j the reduced basis of pole orders o_j that ``_pole_orders``
     gives, the x^i v_j, 0 <= i < m, are a basis over F_p[z], z = x^m,
     whose pole orders o_j + 2i are distinct, so the direct image is the
     sum of O(floor((cap' - o_j - 2i) / 2m)) (Hess's reduced basis at
@@ -721,7 +702,7 @@ def pushforward(divisor: Divisor, cover: ComposedMap) -> SplittingType:
     dimensions.
     """
     m, n = cover.exponent, cover.degree
-    cap, orders = _twist_orders(divisor, n)
+    cap, orders = _pole_orders(divisor)
     pairs = []
     for o in orders:
         a, r = divmod(cap - o, n)

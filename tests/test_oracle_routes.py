@@ -341,10 +341,11 @@ def wide_remainder_sequences():
 
 
 def test_remainder_sequence_on_top_coordinates_is_exact():
-    # Dropping the Newton coordinates below n + g + 1 - deg r_(i-1) before
-    # each step gives the whole sequence's orders.  On these instances
-    # dropping one more per step does not, and neither does dropping the
-    # lowest g + 2 once, so an off-by-one in either count shows.
+    # Dropping the lowest g + 1 Newton coordinates once, before the first
+    # step, gives the whole sequence's orders.  On these instances
+    # dropping the lowest g + 2 once does not, and neither does dropping
+    # those below n + g + 2 - deg r_(i-1) before each step, so an
+    # off-by-one in the count shows.
     one_too_many = one_too_many_once = 0
     for nodes, v, genus, p in remainder_sequences():
         expected = reference_basis_pole_orders(nodes, v, genus, p)
