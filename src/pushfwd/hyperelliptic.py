@@ -25,11 +25,13 @@ Riemann-Roch space dimensions are computed exactly over F_p:
    series is needed.  V is the Hermite interpolant of these conditions,
    in Newton form;
 4. b = 0 mod K and K | U force K | a, so the solutions are K times those
-   of a + b V = 0 mod U0, U0 = U / K, the product over the zero and data
-   nodes only; K shifts every pole order by 2 deg K, so cap' = cap -
-   2 deg K replaces cap.  The solutions (a, b) of a + b V = 0 mod U0 form
-   a rank-2 F_p[x]-module.  In a basis whose two elements have pole
-   orders o1 even (led by a) and o2 odd (led by b y) the leading terms of
+   of a + b V = 0 mod U0, U0 = U / K, the product over the nodes of the
+   sites (x0, y0, d) left: d nodes at x0 where V follows y at (x0, y0) to
+   d terms, and one node (x0, 0, 1) at a ramification zero; K shifts
+   every pole order by 2 deg K, so cap' = cap - 2 deg K replaces cap.
+   The solutions (a, b) of a + b V = 0 mod U0 form a rank-2
+   F_p[x]-module.  In a basis whose two elements have pole orders o1
+   even (led by a) and o2 odd (led by b y) the leading terms of
    c1 v1 + c2 v2 never cancel, so dim L(D - k*infinity) =
    sum_o max(0, (q - o) // 2 + 1) with q = cap' - k (predictable degrees:
    T. Mulders, A. Storjohann, J. Symbolic Comput. 35 (2003));
@@ -49,10 +51,12 @@ Riemann-Roch space dimensions are computed exactly over F_p:
    the zeros asked for: the solution of least pole order vanishes on E
    and on n' more points, and o1 + o2 = 2n + 2g + 1.  So when the n
    nodes over s x-values are more than B(g, s) (``_doubling_bound``), no
-   series is built: each site's d (P - infinity), and each zero's
-   W - infinity, becomes a reduced Mumford pair (u, v) in monomial
-   coordinates by double-and-add, and these pairs are added and reduced
-   one by one.  A doubling is the Hensel lift u^2,
+   series is built: the sum of d (P - infinity) over the sites (P, d)
+   becomes one reduced Mumford pair (u, v) in monomial coordinates by a
+   single left-to-right double-and-add over the bits of every d at once
+   (Straus's multi-exponentiation): per bit the running pair is doubled
+   once, then each P whose d has that bit is added and the sum reduced,
+   starting at the first P added.  A doubling is the Hensel lift u^2,
    v + (f - v^2) (2 v)^(-1) mod u^2 after the Weierstrass points of the
    support drop out; an addition is Cantor's composition, the CRT when
    the supports do not meet; and Cantor's reduction u' = (f - v^2) / u,
@@ -62,17 +66,17 @@ Riemann-Roch space dimensions are computed exactly over F_p:
 
 The Newton route's R = deg U + deg K conditions cost O(R * deg f) for the
 local series, whose square root is one C-level dot product per
-coefficient; the deg U0 <= R nodes that remain after K is taken out cost
-O(deg U0^2), in about deg U0 list passes, for the interpolant (one pass
-for a single site), and about 3 (deg U0 - g)^2 / 8 list work for the
+coefficient, and a site of one node needs none; the deg U0 <= R nodes
+that remain after K is taken out cost O(deg U0^2), in about deg U0 list
+passes, for the interpolant (one pass for a single site), and about 3 (deg U0 - g)^2 / 8 list work for the
 remainder sequence: from deg r_(i-1) = d it reads d - g - 1
 coordinates, for d from n down to (n + g) / 2.  When deg U0 <= g + 1
 none of this is done.  The Newton route runs only when n <= B(g, s) =
 (40 + 11 g) (4 + floor(log2 s)) / 4, so its cost is bounded by the genus
 and the number s of x-values, and no multiplicity makes it longer.  On
-the doubling route a site of d nodes costs about log2(d) doublings and
-fewer additions, each on polynomials of degree at most 2g + 1 and
-O(g^2), and one addition to the sum of the sites.  Nothing is
+the doubling route the sites share the floor(log2(max d)) doublings,
+and each site adds its point once per set bit of its d; each step works
+on polynomials of degree at most 2g + 1 and costs O(g^2).  Nothing is
 eliminated, and numpy is not used.
 
 The conditions do not depend on the coefficient at infinity, so the two
@@ -135,15 +139,27 @@ from .splitting import (
 
 
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin to the bases 2, 7 and 61, exact for
+    n < 4,759,123,141 (G. Jaeschke, Math. Comp. 61 (1993)), so for every
+    modulus below MAX_PRIME, in O(log n) multiplications."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in (2, 7, 61):
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -163,14 +179,15 @@ class HyperellipticCurve:
     __slots__ = ("prime", "coeffs", "genus", "_on_curve")
 
     def __init__(self, prime: int, coeffs: Iterable[int]):
+        prime = _integer(prime, "prime")
         if prime == 2:
             raise CharacteristicTwo("the model y^2 = f(x) needs an odd characteristic")
-        # Size first: trial division up to sqrt(p) never ends for a large p.
+        # Size first: the primality test is exact only below 4,759,123,141.
         if prime >= MAX_PRIME:
             raise ValueError(f"field modulus must be below 2**31, got {prime}")
         if not _is_prime(prime):
             raise ValueError(f"field modulus must be prime, got {prime}")
-        cs = tuple(int(c) % prime for c in coeffs)
+        cs = tuple(_integer(c, "coefficient of f") % prime for c in coeffs)
         if len(cs) < 4 or len(cs) % 2 != 0:
             raise ValueError(
                 f"f(x) must have odd degree 2g+1 >= 3, got degree {len(cs) - 1}"
@@ -202,7 +219,7 @@ class HyperellipticCurve:
     def point(self, x: int, y: int) -> "CurvePoint":
         """The affine point (x, y); raises if it does not lie on the curve."""
         p = self.prime
-        x, y = x % p, y % p
+        x, y = _integer(x, "x-coordinate") % p, _integer(y, "y-coordinate") % p
         if (y * y) % p != self.rhs(x):
             raise PointNotOnCurve(
                 f"({x}, {y}) does not satisfy y^2 = f(x) over F_{p}"
@@ -213,8 +230,9 @@ class HyperellipticCurve:
     def validate_point(self, pt: "CurvePoint") -> "CurvePoint":
         """pt with its coordinates reduced mod p; raises unless it is a
         point of the curve.  f is not evaluated again at a point that
-        ``point`` has checked, whose coordinates are already reduced."""
-        if (pt.x, pt.y) in self._on_curve:
+        ``point`` has checked, whose coordinates are already reduced
+        integers (a float equal to one is not)."""
+        if (pt.x, pt.y) in self._on_curve and type(pt.x) is type(pt.y) is int:
             return pt
         return self.point(pt.x, pt.y)
 
@@ -466,15 +484,20 @@ def _double(u, v, f, genus, p):
     return _cantor_steps(big_u, big_v, poly_axpy(step, poly_mul(k, k, p), -1, p), genus, p)
 
 
-def _multiple(x0, y0, e, f, genus, p):
-    """The reduced Mumford pair of e (P - infinity), P = (x0, y0), e >= 1,
-    by double-and-add, from the top bit of e down."""
-    pu, pv = [-x0 % p, 1], [y0] if y0 else []
-    u, v = pu, pv
-    for bit in bin(e)[3:]:
-        u, v = _double(u, v, f, genus, p)
-        if bit == "1":
-            u, v = _reduce(*_compose(u, v, pu, pv, f, p), f, genus, p)
+def _ladder(sites, f, genus, p):
+    """The reduced Mumford pair of the sum of d (P - infinity) over the
+    ``sites`` (x0, y0, d), P = (x0, y0), by one left-to-right
+    double-and-add over the bits of every d at once (Straus): per bit the
+    running pair is doubled once, then each P whose d has that bit is
+    added and the sum reduced.  It starts at the first P added."""
+    points = [(d, [-x0 % p, 1], [y0] if y0 else []) for x0, y0, d in sites]
+    u = v = None
+    for bit in range(max(d for d, _, _ in points).bit_length() - 1, -1, -1):
+        if u is not None:
+            u, v = _double(u, v, f, genus, p)
+        for d, pu, pv in points:
+            if d >> bit & 1:
+                u, v = (pu, pv) if u is None else _reduce(*_compose(u, v, pu, pv, f, p), f, genus, p)
     return u, v
 
 
@@ -533,10 +556,10 @@ def _basis_pole_orders(nodes, v, genus, p):
 
 
 def _conditions(divisor: Divisor):
-    """(cap', zeros, data): the pole cap left after K is taken out, and
-    the conditions of a + b V = 0 mod U0 (module docstring, steps 3-4):
-    ``zeros`` holds (x0, [0]) where V(x0) = 0, and ``data`` holds
-    (x0, y0, n - k) where V follows y at (x0, y0) to n - k terms.
+    """(cap', sites): the pole cap left after K is taken out, and the
+    conditions of a + b V = 0 mod U0 (module docstring, steps 3-4), one
+    site (x0, y0, d) per x-value of U0's d nodes, where V follows y at
+    (x0, y0) to d terms; a ramification zero, V(x0) = 0, is (x0, 0, 1).
     """
     curve = divisor.curve
     p = curve.prime
@@ -546,18 +569,16 @@ def _conditions(divisor: Divisor):
         by_x.setdefault(pt.x, {})[pt.y] = mult
 
     # Pole clearing by (x - x0)^e per support x-value, and the zeros it
-    # asks of a(x) + b(x) y there.  The nodes of U0 are those of `zeros`,
-    # then of `data`; `kept` counts the nodes of K.
+    # asks of a(x) + b(x) y there; `kept` counts the nodes of K.
     cap = divisor.at_infinity
-    zeros = []
-    data = []
+    sites = []
     kept = 0
     for x0, ys in by_x.items():
         if 0 in ys:  # a support point has y = 0 exactly when f(x0) = 0
             e = max(0, (ys[0] + 1) // 2)
             needed = 2 * e - ys[0]
             if needed % 2:
-                zeros.append((x0, [0]))
+                sites.append((x0, 0, 1))
             kept += needed // 2
         else:
             # (x0, y0) needs `needed` zeros and (x0, -y0) `fewer`.
@@ -567,70 +588,72 @@ def _conditions(divisor: Divisor):
             if needed < fewer:
                 y0, needed, fewer = p - y0, fewer, needed
             if needed > fewer:
-                data.append((x0, y0, needed - fewer))
+                sites.append((x0, y0, needed - fewer))
             kept += fewer
         cap += 2 * e
     # Every solution is K times one mod U0, of pole order 2 deg K less.
-    return cap - 2 * kept, zeros, data
+    return cap - 2 * kept, sites
 
 
 def _doubling_bound(genus: int, sites: int) -> int:
     """B(g, s) = (40 + 11 g) (4 + floor(log2 s)) / 4: at more than B(g, s)
     nodes over s x-values, the doubling route costs less than the Newton
     route.  The Newton route's interpolant and remainder sequence grow
-    with the square of the node count; the doubling route pays one
-    addition and reduction per x-value and about log2(d) doublings for a
-    site of d nodes, so its crossover rises with s.  The measured
-    crossover n is the first value of a grid growing by 15% from which
-    s sites of n / s nodes each took less time by doubling, at every
-    larger value tried (two or three random curves over F_10007 per
-    genus, each route the best of three or five runs); each cell is
-    measured / B(g, s):
+    with the square of the node count; the doubling route's ladder pays
+    floor(log2(max d)) doublings in all and one addition and reduction
+    per set bit of each site's d, so its crossover rises with s.  The
+    measured crossover n is the first value of a grid from max(s, g + 2)
+    growing by 15% from which s sites of about n / s nodes each took less
+    time by doubling, at every larger value tried up to 1.6 B(g, s)
+    (three random curves over F_10007 per cell, each route the best of
+    five runs); each cell is measured / B(g, s):
 
         g     s = 1     s = 4     s = 16    s = 64
-        1     48/51     63/76    124/102   187/127
-        2     72/62     82/93    124/124   215/155
-        4     82/84    108/126   187/168   326/210
-        10   163/150   187/225   326/300   374/375
-        20   240/260   317/390   480/520   634/650
+        1     42/51     33/76     55/102    95/127
+        2     48/62     48/93     63/124   109/155
+        4     72/84     63/126    94/168   125/210
+        10   124/150   124/225   124/300   248/375
+        20   209/260   159/390   276/520   496/650
+
+    Since the ladder shares its doublings among the sites, B sits above
+    the crossover by 1.3-2.5 times for s >= 4 (and by about 1.2 times for
+    s = 1); it is kept, so that no input changes route, until a benchmark
+    workload on both sides of it can show a lower bound's gain.
     """
     return (40 + 11 * genus) * (3 + sites.bit_length()) // 4
 
 
-def _newton_orders(curve: HyperellipticCurve, zeros, data) -> tuple[int, int]:
+def _newton_orders(curve: HyperellipticCurve, sites) -> tuple[int, int]:
     """``_orders`` by the local series, interpolant and remainder
-    sequence (module docstring, step 5)."""
+    sequence (module docstring, step 5).  A site of one node needs no
+    series: its target is y0."""
     p = curve.prime
-    sites = [(x0, split_point_series(curve.coeffs, x0, y0, d, p)[1]) for x0, y0, d in data]
-    nodes, coords = _newton_interpolant(zeros + sites, p)
+    targets = [(x0, split_point_series(curve.coeffs, x0, y0, d, p)[1] if d > 1 else [y0])
+               for x0, y0, d in sites]
+    nodes, coords = _newton_interpolant(targets, p)
     return _basis_pole_orders(nodes, coords, curve.genus, p)
 
 
-def _doubling_orders(curve: HyperellipticCurve, zeros, data) -> tuple[int, int]:
-    """``_orders`` as n + n' and n - n' + 2g + 1 (module docstring,
-    step 6), n' the degree of the reduced pair of the sum of every zero
-    W - infinity and every site's d (P - infinity)."""
-    f, g, p = list(curve.coeffs), curve.genus, curve.prime
-    n = len(zeros) + sum(d for _, _, d in data)
-    u, v = [1], []
-    for x0, y0, d in [(x0, 0, 1) for x0, _ in zeros] + data:
-        u, v = _reduce(*_compose(u, v, *_multiple(x0, y0, d, f, g, p), f, p), f, g, p)
-    reduced = len(u) - 1
+def _doubling_orders(curve: HyperellipticCurve, sites, n: int) -> tuple[int, int]:
+    """``_orders`` of n nodes as n + n' and n - n' + 2g + 1 (module
+    docstring, step 6), n' the degree of the ``_ladder`` pair."""
+    g = curve.genus
+    reduced = len(_ladder(sites, list(curve.coeffs), g, curve.prime)[0]) - 1
     return n + reduced, n - reduced + 2 * g + 1
 
 
-def _orders(curve: HyperellipticCurve, zeros, data) -> tuple[int, int]:
+def _orders(curve: HyperellipticCurve, sites) -> tuple[int, int]:
     """The pole orders of a reduced basis of the solutions of the
     conditions ``_conditions`` states; they do not depend on cap'.
     By the Newton route for at most B(g, s) nodes over s x-values, else
     by doubling."""
     g = curve.genus
-    n = len(zeros) + sum(d for _, _, d in data)
+    n = sum(d for _, _, d in sites)
     if n <= g + 1:  # deg V < n: the remainder sequence takes no step
         return 2 * n, 2 * g + 1
-    if n <= _doubling_bound(g, len(zeros) + len(data)):
-        return _newton_orders(curve, zeros, data)
-    return _doubling_orders(curve, zeros, data)
+    if n <= _doubling_bound(g, len(sites)):
+        return _newton_orders(curve, sites)
+    return _doubling_orders(curve, sites, n)
 
 
 def _pole_orders(divisor: Divisor) -> tuple[int, tuple[int, int]]:
@@ -642,8 +665,8 @@ def _pole_orders(divisor: Divisor) -> tuple[int, tuple[int, int]]:
     See the module docstring for how the conditions are stated and how
     the two pole orders of that basis give every dimension.
     """
-    cap, zeros, data = _conditions(divisor)
-    return cap, _orders(divisor.curve, zeros, data)
+    cap, sites = _conditions(divisor)
+    return cap, _orders(divisor.curve, sites)
 
 
 def _dim_below(q: int, orders: tuple[int, ...]) -> int:
@@ -655,10 +678,10 @@ def _dim_below(q: int, orders: tuple[int, ...]) -> int:
 
 def rr_space_dim(divisor: Divisor) -> int:
     """dim L(D) = h0 of the line bundle O(D) on the curve."""
-    cap, zeros, data = _conditions(divisor)
+    cap, sites = _conditions(divisor)
     if cap < 0:  # no solution has a pole order below 0
         return 0
-    return _dim_below(cap, _orders(divisor.curve, zeros, data))
+    return _dim_below(cap, _orders(divisor.curve, sites))
 
 
 def linearly_equivalent(d1: Divisor, d2: Divisor) -> bool:

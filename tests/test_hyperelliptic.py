@@ -1,5 +1,6 @@
 """The Riemann-Roch oracle: dimensions, sequences, pushforwards."""
 
+import math
 import random
 import time
 
@@ -118,6 +119,33 @@ def test_non_integer_fields_are_rejected(genus2_curve):
         Divisor(genus2_curve, 2, {pt: 1.9})
     with pytest.raises(ValueError, match="amount must be an integer, got 2.7"):
         Divisor(genus2_curve, 2, {pt: 1}).shift_infinity(2.7)
+    with pytest.raises(ValueError, match="coefficient of f must be an integer, got 1.9"):
+        HyperellipticCurve(5, [0, 1.9, 0, 0, 0, 1])
+    with pytest.raises(ValueError, match="prime must be an integer, got 5.0"):
+        HyperellipticCurve(5.0, [0, 1, 0, 0, 0, 1])
+    with pytest.raises(ValueError, match="coefficient of f must be an integer, got '3'"):
+        HyperellipticCurve(5, [0, 1, 0, '3', 0, 1])
+    with pytest.raises(ValueError, match="x-coordinate must be an integer, got 2.0"):
+        genus2_curve.point(2.0, 2)
+    with pytest.raises(ValueError, match="y-coordinate must be an integer, got '2'"):
+        genus2_curve.point(2, "2")
+    # (2, 2) is a checked point, but (2.0, 2), equal to it, is not an integer point
+    with pytest.raises(ValueError, match="x-coordinate must be an integer, got 2.0"):
+        Divisor(genus2_curve, 0, {CurvePoint(2.0, 2): 1})
+
+
+def test_is_prime_matches_trial_division():
+    # Miller-Rabin to the bases 2, 7 and 61 against trial division below
+    # 10^5, at 2^31 - 1, and on Carmichael numbers and base-2 strong
+    # pseudoprimes, which one base alone would call prime.
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(10**5) if hyperelliptic._is_prime(n)] == \
+        [n for n in range(10**5) if trial(n)]
+    assert hyperelliptic._is_prime(2**31 - 1)
+    for n in (561, 1105, 1729, 2047, 3277, 4033):
+        assert not hyperelliptic._is_prime(n), n
 
 
 def test_divisor_sum_matches_the_validating_constructor(genus2_curve, genus3_curve):

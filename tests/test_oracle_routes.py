@@ -370,10 +370,11 @@ def test_remainder_sequence_on_top_coordinates_is_exact():
 # ---------------------------------------------------------------- doubling
 #
 # A divisor of more than B(g, s) nodes over s x-values takes the doubling
-# route: a reduced Mumford pair per site by double-and-add, their reduced
-# sum, and the orders from its degree.  Patching B sends every divisor
-# with more than g + 1 nodes there (B = 0) or none (B = NEWTON_ONLY), so
-# each sampler runs both routes on the same instances.
+# route: the reduced Mumford pair of the sum of its sites by one
+# double-and-add ladder, and the orders from its degree.  Patching B
+# sends every divisor with more than g + 1 nodes there (B = 0) or none
+# (B = NEWTON_ONLY), so each sampler runs both routes on the same
+# instances.
 
 NEWTON_ONLY = 10**18
 
@@ -439,10 +440,10 @@ def _route(divisor):
     """("newton" or "doubling", the number of sites above B(g, 1), at
     most 2): the route the oracle's own bound takes."""
     genus = divisor.curve.genus
-    _, zeros, data = hyperelliptic._conditions(divisor)
-    n = len(zeros) + sum(d for _, _, d in data)
-    doubled = n > max(genus + 1, hyperelliptic._doubling_bound(genus, len(zeros) + len(data)))
-    big = sum(d > hyperelliptic._doubling_bound(genus, 1) for _, _, d in data)
+    _, sites = hyperelliptic._conditions(divisor)
+    n = sum(d for _, _, d in sites)
+    doubled = n > max(genus + 1, hyperelliptic._doubling_bound(genus, len(sites)))
+    big = sum(d > hyperelliptic._doubling_bound(genus, 1) for _, _, d in sites)
     return "doubling" if doubled else "newton", min(big, 2)
 
 
@@ -532,13 +533,13 @@ def test_orders_depend_only_on_the_reduced_degree(divisor):
     # their local series gives here.
     curve = divisor.curve
     f, p, g = list(curve.coeffs), curve.prime, curve.genus
-    _, zeros, data = hyperelliptic._conditions(divisor)
+    _, sites = hyperelliptic._conditions(divisor)
     u, v = [1], []
-    for pair in [([-x0 % p, 1], []) for x0, _ in zeros] + \
-            [_series_pair(curve, x0, y0, d) for x0, y0, d in data]:
+    for pair in [_series_pair(curve, x0, y0, d) if y0 else ([-x0 % p, 1], [])
+                 for x0, y0, d in sites]:
         u, v = hyperelliptic._compose(u, v, *pair, f, p)
     n, reduced = len(u) - 1, len(hyperelliptic._reduce(u, v, f, g, p)[0]) - 1
-    assert n == len(zeros) + sum(d for _, _, d in data)
+    assert n == sum(d for _, _, d in sites)
     assert route_orders(divisor, NEWTON_ONLY)[1] == \
         sorted((n + reduced, n - reduced + 2 * g + 1)), divisor
 
@@ -546,17 +547,26 @@ def test_orders_depend_only_on_the_reduced_degree(divisor):
 @settings(max_examples=300, deadline=None)
 @given(divisor=small_divisors(), e=st.integers(1, 80))
 def test_doubling_gives_the_reduced_pair(divisor, e):
-    # A class has one reduced pair: double-and-add reaches the one that
-    # Cantor's reduction gives for the e-node site of a point from its
-    # local series, and so does it after adding another point.
+    # A class has one reduced pair: the ladder reaches the one that
+    # Cantor's reduction gives for the sum of the pairs of all sites of
+    # the divisor, ramification zeros included, from their local series;
+    # and for the e-node site of a point, also after adding another point.
     curve = divisor.curve
     f, p, g = list(curve.coeffs), curve.prime, curve.genus
+    sites = hyperelliptic._conditions(divisor)[1]
+    if sites:
+        u, v = [1], []
+        for x0, y0, d in sites:
+            pair = _series_pair(curve, x0, y0, d) if y0 else ([-x0 % p, 1], [])
+            u, v = hyperelliptic._compose(u, v, *pair, f, p)
+        assert hyperelliptic._ladder(sites, f, g, p) == \
+            hyperelliptic._reduce(u, v, f, g, p), divisor
     split = [pt for pt, _ in divisor.affine if pt.y]
     if not split:
         return
     P = split[0]
     site = _series_pair(curve, P.x, P.y, e)
-    doubled = hyperelliptic._multiple(P.x, P.y, e, f, g, p)
+    doubled = hyperelliptic._ladder([(P.x, P.y, e)], f, g, p)
     assert doubled == hyperelliptic._reduce(*site, f, g, p), (divisor, e)
     for Q, _ in divisor.affine:
         other = ([-Q.x % p, 1], [Q.y] if Q.y else [])
