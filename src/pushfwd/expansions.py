@@ -1,23 +1,19 @@
-"""Polynomials over F_p and truncated local power series.
+"""Polynomials over F_p and the local series at a split point.
 
 Polynomials and series are plain lists of residues, index = degree.
 Series are truncated to a fixed length; all arithmetic is exact mod p.
-The two local expansions of a point of y^2 = f(x) live here:
+At a point of y^2 = f(x) with two preimages over its x-value, the local
+parameter is t = x - x0 and y expands as the square root of f(x0 + t)
+with the chosen sign of y0.  That is the only expansion the
+Riemann-Roch oracle uses, with prec = |m(P) - m(iota P)| at a split
+x-value (an absent point has multiplicity 0); it needs no series at a
+ramification point.
 
-* at a point with two preimages over its x-value, the local parameter is
-  t = x - x0 and y expands as the square root of f(x0 + t) with the chosen
-  sign of y0;
-* at a ramification point of y (y0 = 0), the parameter is t = y and
-  x - x0 is an even series in t obtained by inverting f(x0 + u) = t^2.
-
-Both read only the first prec coefficients of f(x0 + t), which
+The expansion reads only the first prec coefficients of f(x0 + t), which
 ``taylor_prefix`` computes by prec synthetic divisions by (x - x0) in
 O(prec * deg f).  The square root then takes prec C-level dot products
 (``sum(map(mul, ...))``) of at most prec / 2 terms each, O(prec^2)
-multiplications but no interpreted inner loop; the inversion costs
-about (prec / 2)^4.  The Riemann-Roch oracle uses only the split-point
-expansion, with prec = |m(P) - m(iota P)| at a split x-value (an absent
-point has multiplicity 0); it needs no series at a ramification point.
+multiplications but no interpreted inner loop.
 """
 
 from __future__ import annotations
@@ -59,15 +55,10 @@ def _residues(coeffs, p: int) -> list[int]:
     return poly_trim([c % p for c in coeffs])
 
 
-def poly_divmod(num, den, p: int) -> tuple[list[int], list[int]]:
-    """(quotient, remainder) of num by den over F_p; the coefficients may
-    be any integers."""
-    return divmod_residues(_residues(num, p), _residues(den, p), p)
-
-
 def divmod_residues(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
-    """``poly_divmod`` of trimmed lists of residues.  Coefficients are
-    reduced only where a quotient term reads them and once at the end."""
+    """(quotient, remainder) of trimmed lists of residues over F_p.
+    Coefficients are reduced only where a quotient term reads them and
+    once at the end."""
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     top = len(den) - 1
@@ -165,25 +156,6 @@ def taylor_prefix(coeffs, x0: int, prec: int, p: int) -> list[int]:
     return out
 
 
-def series_mul(a, b, prec: int, p: int) -> list[int]:
-    out = [0] * prec
-    for i in range(min(prec, len(a))):
-        ai = a[i]
-        if ai:
-            for j in range(min(prec - i, len(b))):
-                out[i + j] = (out[i + j] + ai * b[j]) % p
-    return out
-
-
-def poly_compose_series(coeffs, inner, prec: int, p: int) -> list[int]:
-    """f(inner(t)) truncated to prec terms; Horner over series."""
-    out = [0] * prec
-    for c in reversed(coeffs):
-        out = series_mul(out, inner, prec, p)
-        out[0] = (out[0] + c) % p
-    return out
-
-
 def sqrt_series(poly, y0: int, prec: int, p: int) -> list[int]:
     """Series y(t) with y(t)^2 = poly(t) and y(0) = y0, nonzero.
 
@@ -206,27 +178,6 @@ def sqrt_series(poly, y0: int, prec: int, p: int) -> list[int]:
     return out
 
 
-def series_inverse_of_poly(poly, prec: int, p: int) -> list[int]:
-    """u(s) with poly(u(s)) = s mod s^prec, given poly(0) = 0 and poly'(0) != 0.
-
-    Fixed-point refinement gains one correct order per pass, so prec passes
-    suffice starting from zero.
-    """
-    if poly_eval(poly, 0, p) != 0:
-        raise ValueError("inversion needs a zero constant term")
-    lin = poly[1] % p if len(poly) > 1 else 0
-    if lin == 0:
-        raise ValueError("inversion needs an invertible linear term")
-    inv_lin = pow(lin, p - 2, p)
-    u = [0] * prec
-    for _ in range(prec):
-        composed = poly_compose_series(poly, u, prec, p)
-        for i in range(prec):
-            target = 1 if i == 1 else 0
-            u[i] = (u[i] + (target - composed[i]) * inv_lin) % p
-    return u
-
-
 def split_point_series(curve_poly, x0: int, y0: int, prec: int, p: int) -> tuple[list[int], list[int]]:
     """(x(t), y(t)) at a point with y0 != 0, local parameter t = x - x0."""
     x_series = [0] * prec
@@ -234,26 +185,4 @@ def split_point_series(curve_poly, x0: int, y0: int, prec: int, p: int) -> tuple
     if prec > 1:
         x_series[1] = 1
     y_series = sqrt_series(taylor_prefix(curve_poly, x0, prec, p), y0, prec, p)
-    return x_series, y_series
-
-
-def weierstrass_point_series(curve_poly, x0: int, prec: int, p: int) -> tuple[list[int], list[int]]:
-    """(x(t), y(t)) at a ramification point (y0 = 0), local parameter t = y.
-
-    x - x0 = u(t^2) where u inverts the shifted curve polynomial, so the
-    x-series is even in t.
-    """
-    s_terms = (prec - 1) // 2 + 1
-    # Terms of degree >= s_terms vanish mod s^s_terms once composed with
-    # u(s) = O(s); the inversion reads the linear term, so keep two.
-    shifted = taylor_prefix(curve_poly, x0, max(2, s_terms), p)
-    u = series_inverse_of_poly(shifted, s_terms, p)
-    x_series = [0] * prec
-    x_series[0] = x0 % p
-    for k in range(1, s_terms):
-        if 2 * k < prec:
-            x_series[2 * k] = u[k]
-    y_series = [0] * prec
-    if prec > 1:
-        y_series[1] = 1
     return x_series, y_series

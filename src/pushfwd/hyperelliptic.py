@@ -102,7 +102,6 @@ compute them when cap' < 0.  Nothing is memoized across calls.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -125,17 +124,20 @@ from .expansions import (
     poly_xgcd,
     split_point_series,
 )
-from .expansions import (  # noqa: F401  (e2ebench/layers.py wraps these names)
-    series_mul,
-    weierstrass_point_series,
-)
-from .linalg import MAX_PRIME
-from .linalg import kernel_dim_mod_p  # noqa: F401  (e2ebench/layers.py wraps this name)
 from .splitting import (
     CohSequence,
     SplittingType,
+    _integer,
     h0_sequence_from_callable,
 )
+
+# Field moduli stay below 2**31, where ``_is_prime`` is exact.
+MAX_PRIME = 2**31
+
+# e2ebench/layers.py wraps these three names, so they must exist; nothing
+# calls them.  They go when the benchmark reads a stats object instead of
+# patching names (ROADMAP item 1).
+series_mul = weierstrass_point_series = kernel_dim_mod_p = None
 
 
 def _is_prime(n: int) -> bool:
@@ -265,16 +267,6 @@ class CurvePoint:
         return self.y == 0
 
 
-def _integer(value, field: str, point: CurvePoint | None = None) -> int:
-    """``operator.index(value)``, or a ValueError naming the field (and
-    the point whose field it is)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        of = f" of pt:{point.x},{point.y}" if point else ""
-        raise ValueError(f"{field}{of} must be an integer, got {value!r}") from None
-
-
 def _sorted_support(merged: Mapping) -> tuple:
     """The canonical affine part: nonzero multiplicities sorted by (x, y)."""
     return tuple(sorted(((pt, m) for pt, m in merged.items() if m != 0),
@@ -300,7 +292,7 @@ class Divisor:
         merged: dict[CurvePoint, int] = {}
         for pt, mult in raw:
             pt = self.curve.validate_point(pt)
-            merged[pt] = merged.get(pt, 0) + _integer(mult, "multiplicity", pt)
+            merged[pt] = merged.get(pt, 0) + _integer(mult, f"multiplicity of pt:{pt.x},{pt.y}")
         object.__setattr__(self, "affine", _sorted_support(merged))
         object.__setattr__(self, "at_infinity", _integer(self.at_infinity, "at_infinity"))
 
@@ -770,10 +762,12 @@ def curve_from_string(text: str) -> HyperellipticCurve:
             continue
         key, _, value = term.partition("=")
         key = key.strip()
-        if key == "p":
+        if key == "p" and prime is None:
             prime = _int_field(value, term, "p=<prime>")
-        elif key == "f":
+        elif key == "f" and coeffs is None:
             coeffs = [_int_field(c, term, "f=<c_0>,...,<c_{2g+1}>") for c in value.split(",")]
+        elif key in ("p", "f"):
+            raise ValueError(f"curve field {key!r} is given twice")
         else:
             raise ValueError(f"unknown curve field {key!r}; expected 'p' and 'f'")
     if prime is None or coeffs is None:

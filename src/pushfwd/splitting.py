@@ -15,6 +15,7 @@ one by one.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -31,9 +32,18 @@ MAX_LISTED_SUMMANDS = 10**6
 MAX_WALK_STEPS = 10_000
 
 
-def _canonical(pairs: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+def _integer(value, field: str) -> int:
+    """``operator.index(value)``, or a ValueError naming the field."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{field} must be an integer, got {value!r}") from None
+
+
+def _canonical(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """Sort (twist, multiplicity) pairs by descending twist and merge equal
     twists; zero multiplicities are dropped, negative ones rejected."""
+    pairs = [(_integer(t, "twist"), _integer(mult, "multiplicity")) for t, mult in pairs]
     pairs.sort(reverse=True)
     out: list[tuple[int, int]] = []
     for t, mult in pairs:
@@ -61,13 +71,13 @@ class SplittingType:
     __slots__ = ("_pairs",)
 
     def __init__(self, twists: Iterable[int]) -> None:
-        self._pairs = _canonical([(int(t), 1) for t in twists])
+        self._pairs = _canonical((t, 1) for t in twists)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "SplittingType":
         """Build from (twist, multiplicity) pairs, in any order."""
         bundle = cls.__new__(cls)
-        bundle._pairs = _canonical(list(pairs))
+        bundle._pairs = _canonical(pairs)
         return bundle
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -159,7 +169,9 @@ class CohSequence:
     mode: str = "h0"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "lo", _integer(self.lo, "lo"))
+        object.__setattr__(self, "values", tuple(_integer(v, "window value") for v in self.values))
+        object.__setattr__(self, "rank_hint", _integer(self.rank_hint, "rank_hint"))
         if self.mode not in ("h0", "h1"):
             raise ValueError(f"mode must be 'h0' or 'h1', not {self.mode!r}")
         if self.rank_hint < 1:
@@ -257,20 +269,20 @@ def h0_sequence_from_callable(
     callable is queried once per degree, and only inside the window when
     ``start`` is; ``MAX_WALK_STEPS`` bounds the walk otherwise.
     """
-    if rank_hint < 1:
+    if _integer(rank_hint, "rank_hint") < 1:
         raise InvalidSequence("rank hint must be a positive integer")
     cache: dict[int, int] = {}
 
     def a(l: int) -> int:
         if l not in cache:
-            v = int(h0_of(l))
+            v = _integer(h0_of(l), "window value")
             if v < 0:
                 raise InvalidSequence(f"negative dimension {v} reported at degree {l}")
             cache[l] = v
         return cache[l]
 
     steps = 0
-    l = start
+    l = _integer(start, "start")
     if a(l) > 0:
         while a(l) > 0:
             l += 1

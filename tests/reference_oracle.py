@@ -13,16 +13,151 @@ must give the same dimensions.
 ``reference_h0_sequence`` reads a whole h0 window from one such
 elimination, and ``reference_basis_pole_orders`` is the oracle's
 remainder sequence on every Newton coordinate, or with a given number of
-the lowest dropped before each step.
+the lowest dropped before the first step.
+
+The package itself needs neither the elimination nor the ramification
+series, so they live here: ``pivot_columns_mod_p``, a numpy column
+reduction over F_p, and ``weierstrass_point_series`` with the truncated
+series products and inversion it is built from.
 """
 
 from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from pushfwd.expansions import poly_trim, split_point_series, weierstrass_point_series
-from pushfwd.linalg import pivot_columns_mod_p
+from pushfwd.expansions import poly_eval, poly_trim, split_point_series, taylor_prefix
+from pushfwd.hyperelliptic import MAX_PRIME
 from pushfwd.splitting import h0_sequence_from_callable
+
+
+# ------------------------------------------------------------ elimination
+#
+# ``pivot_columns_mod_p`` reports each pivot column with its lead, the
+# first row where the reduced column is nonzero.  Rows are never moved, so
+# the pivots give the rank of every block ``mat[:s, :t]`` at once (the
+# rank profile matrix of J.-G. Dumas, C. Pernet, Z. Sultan, *Computing the
+# rank profile matrix*, ISSAC 2015).  It defers reduction: each step
+# reduces mod p only the pivot column (to find the lead) and the factors,
+# and takes factor * column off the later columns unreduced.  Entries
+# there grow by at most (p - 1)^2 per step from at most p - 1, and the
+# block is reduced only when the tracked bound would pass 2**62, so int64
+# never overflows: at p = 10007 that never happens, near 2**31 it happens
+# at every step.  p must be prime and below 2**31 so products of residues
+# stay inside int64.
+
+def pivot_columns_mod_p(mat: np.ndarray, p: int) -> list[tuple[int, int]]:
+    """Pivots of ``mat`` over F_p as (column, lead) pairs, in column order.
+
+    Column c is a pivot exactly when it is independent of the columns
+    before it.  Each later column is reduced against it to vanish at its
+    lead, the first row where column c, itself so reduced, is nonzero.
+    No row is moved, so the leads are distinct and, for every s and t,
+
+        rank(mat[:s, :t]) = #{(c, r) in pivots : c < t and r < s}.
+
+    ``mat`` is left as it is.  Reduction of the later columns is deferred
+    (see above).
+    """
+    nrows, ncols = mat.shape
+    if nrows == 0:
+        return []
+    # One row of ``a`` per column of ``mat``: the columns are what each
+    # step updates.
+    a = np.remainder(np.asarray(mat, dtype=np.int64).T, p, order="C")
+    step = (p - 1) ** 2
+    bound = p - 1  # largest |entry| left in the columns after the last pivot
+    pivots: list[tuple[int, int]] = []
+    for c in range(ncols):
+        col = a[c] % p
+        nz = np.flatnonzero(col)
+        if nz.size == 0:
+            continue
+        lead = int(nz[0])
+        pivots.append((c, lead))
+        if len(pivots) == nrows or c + 1 == ncols:
+            break  # no later column can be a pivot
+        factors = a[c + 1 :, lead] % p * pow(int(col[lead]), p - 2, p) % p
+        if bound + step > 2**62:
+            a[c + 1 :] %= p
+            bound = p - 1
+        a[c + 1 :] -= factors[:, None] * col
+        bound += step
+    return pivots
+
+
+def kernel_dim_mod_p(mat: np.ndarray, p: int) -> int:
+    """Dimension of the nullspace of ``mat`` over F_p."""
+    if not 2 < p < MAX_PRIME:
+        raise ValueError(f"modulus must be an odd prime below 2**31, got {p}")
+    return mat.shape[1] - len(pivot_columns_mod_p(mat, p))
+
+
+# ----------------------------------------------------------------- series
+
+def series_mul(a, b, prec: int, p: int) -> list[int]:
+    out = [0] * prec
+    for i in range(min(prec, len(a))):
+        ai = a[i]
+        if ai:
+            for j in range(min(prec - i, len(b))):
+                out[i + j] = (out[i + j] + ai * b[j]) % p
+    return out
+
+
+def poly_compose_series(coeffs, inner, prec: int, p: int) -> list[int]:
+    """f(inner(t)) truncated to prec terms; Horner over series."""
+    out = [0] * prec
+    for c in reversed(coeffs):
+        out = series_mul(out, inner, prec, p)
+        out[0] = (out[0] + c) % p
+    return out
+
+
+def series_inverse_of_poly(poly, prec: int, p: int) -> list[int]:
+    """u(s) with poly(u(s)) = s mod s^prec, given poly(0) = 0 and poly'(0) != 0.
+
+    Fixed-point refinement gains one correct order per pass, so prec passes
+    suffice starting from zero: about (prec / 2)^4 multiplications at a
+    ramification point.
+    """
+    if poly_eval(poly, 0, p) != 0:
+        raise ValueError("inversion needs a zero constant term")
+    lin = poly[1] % p if len(poly) > 1 else 0
+    if lin == 0:
+        raise ValueError("inversion needs an invertible linear term")
+    inv_lin = pow(lin, p - 2, p)
+    u = [0] * prec
+    for _ in range(prec):
+        composed = poly_compose_series(poly, u, prec, p)
+        for i in range(prec):
+            target = 1 if i == 1 else 0
+            u[i] = (u[i] + (target - composed[i]) * inv_lin) % p
+    return u
+
+
+def weierstrass_point_series(curve_poly, x0: int, prec: int, p: int) -> tuple[list[int], list[int]]:
+    """(x(t), y(t)) at a ramification point (y0 = 0), local parameter t = y.
+
+    x - x0 = u(t^2) where u inverts the shifted curve polynomial, so the
+    x-series is even in t.
+    """
+    s_terms = (prec - 1) // 2 + 1
+    # Terms of degree >= s_terms vanish mod s^s_terms once composed with
+    # u(s) = O(s); the inversion reads the linear term, so keep two.
+    shifted = taylor_prefix(curve_poly, x0, max(2, s_terms), p)
+    u = series_inverse_of_poly(shifted, s_terms, p)
+    x_series = [0] * prec
+    x_series[0] = x0 % p
+    for k in range(1, s_terms):
+        if 2 * k < prec:
+            x_series[2 * k] = u[k]
+    y_series = [0] * prec
+    if prec > 1:
+        y_series[1] = 1
+    return x_series, y_series
+
+
+# ------------------------------------------------------- condition matrix
 
 
 def condition_matrix(series, basis, p):
@@ -147,24 +282,19 @@ def reference_h0_sequence(divisor, cover):
     return h0_sequence_from_callable(h0_at, n, start=(d - g) // n)
 
 
-def reference_basis_pole_orders(nodes, v, genus, p, dropped=lambda deg: 0, quotients=None):
+def reference_basis_pole_orders(nodes, v, genus, p, drop=0, quotients=None):
     """The pole orders of ``hyperelliptic._basis_pole_orders`` from the
     extended Euclid remainders of r_0 = N_n and r_1 = V = sum v_i N_i, run
-    on their Newton coordinates.  Before each step it drops the lowest
-    coordinates up to ``dropped(deg r_(i-1))``, which must not fall as the
-    degree does, and offsets the degree test by twice the number dropped.
-    With nothing dropped this is the whole sequence: it stops at the
+    on their Newton coordinates, less the lowest ``drop`` of them; the
+    degree test is offset by twice that number.  With nothing dropped
+    this is the whole sequence: it stops at the
     first r_i that is zero or has deg r_i + deg r_(i-1) <= n + g, and
     m = deg r_(i-1) gives the orders 2m and 2 (n - m) + 2g + 1.  Each
     step appends its quotient degree to ``quotients`` when given.
     """
-    n, low = len(nodes), 0
-    prev, cur = [0] * n + [1], poly_trim(v)
+    n, low = len(nodes), drop
+    prev, cur, nodes = ([0] * n + [1])[low:], poly_trim(v)[low:], nodes[low:]
     while cur and len(prev) + len(cur) - 2 + 2 * low > n + genus:
-        drop = dropped(len(prev) - 1 + low) - low
-        prev, cur, nodes, low = prev[drop:], cur[drop:], nodes[drop:], low + drop
-        if not cur:
-            break
         if quotients is not None:
             quotients.append(len(prev) - len(cur))
         db = len(cur) - 1

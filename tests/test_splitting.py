@@ -12,6 +12,7 @@ from pushfwd import (
     NegativeSecondDifference,
     RankMismatch,
     SplittingType,
+    direct_image_g0,
     h0,
     h0_sequence_from_callable,
     h0_sequence_of,
@@ -21,6 +22,7 @@ from pushfwd import (
     splitting_from_h1_sequence,
     splitting_text,
     spread,
+    stable_form,
     twist,
 )
 from pushfwd.splitting import MAX_LISTED_SUMMANDS
@@ -244,6 +246,29 @@ def test_from_pairs_rejects_negative_multiplicities_and_no_summands():
             SplittingType.from_pairs(empty)
     with pytest.raises(AttributeError):
         SplittingType([0]).twists = (1,)
+
+
+def test_non_integers_are_rejected_by_name():
+    # Nothing is truncated or kept as a float: each field names itself.
+    cases = [
+        (lambda: SplittingType([1.5, 0]), "twist must be an integer, got 1.5"),
+        (lambda: SplittingType(["3"]), "twist must be an integer, got '3'"),
+        (lambda: SplittingType.from_pairs([(1, 1.5)]), "multiplicity must be an integer, got 1.5"),
+        (lambda: stable_form(3, 1.5, 0, 0), "multiplicity must be an integer, got 1.5"),
+        (lambda: direct_image_g0(2.0, 1), "twist must be an integer, got 0.0"),
+        (lambda: CohSequence(0, (3.7, 1, 0, 0), 2), "window value must be an integer, got 3.7"),
+        (lambda: CohSequence(0.5, (3, 1, 0, 0), 2), "lo must be an integer, got 0.5"),
+        (lambda: CohSequence(0, (3, 1, 0, 0), 2.0), "rank_hint must be an integer, got 2.0"),
+        (lambda: h0_sequence_from_callable(lambda l: max(0, 2.5 - l), 1),
+         "window value must be an integer, got 2.5"),
+        (lambda: h0_sequence_from_callable(lambda l: max(0, 2 - l), 1.0),
+         "rank_hint must be an integer, got 1.0"),
+        (lambda: h0_sequence_from_callable(lambda l: max(0, 2 - l), 1, start=0.5),
+         "start must be an integer, got 0.5"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 def test_huge_ranks_stay_run_length():
