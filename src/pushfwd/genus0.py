@@ -11,12 +11,14 @@ from .errors import InvalidDegree
 from .splitting import (
     CohSequence,
     SplittingType,
+    _integer,
     h0_sequence_from_callable,
 )
 
 
 def direct_image_g0(n: int, m: int) -> SplittingType:
     """Direct image of O(m) under any degree-n self-map of the line."""
+    n, m = _integer(n, "n"), _integer(m, "m")
     if n < 1:
         raise InvalidDegree(f"map degree must be at least 1, got {n}")
     q, i = divmod(m, n)
@@ -40,6 +42,7 @@ def g0_oracle_sequence(n: int, m: int) -> CohSequence:
     sequence must reproduce :func:`direct_image_g0`.  The walk starts
     inside the window, at l = m // n.
     """
+    n, m = _integer(n, "n"), _integer(m, "m")
     if n < 1:
         raise InvalidDegree(f"map degree must be at least 1, got {n}")
     return h0_sequence_from_callable(lambda l: max(0, m - l * n + 1), n, start=m // n)

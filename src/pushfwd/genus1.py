@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ExcessFlag, InvalidDegree, MissingFlag
-from .splitting import SplittingType
+from .splitting import SplittingType, _integer
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,8 @@ class AtiyahBundleSpec:
     exceptional: bool | None = None
 
     def __post_init__(self) -> None:
+        for field in ("rank", "degree"):
+            object.__setattr__(self, field, _integer(getattr(self, field), field))
         if self.rank < 1:
             raise ValueError(f"rank must be at least 1, got {self.rank}")
 
@@ -68,6 +70,7 @@ def direct_image_g1(n: int, spec: AtiyahBundleSpec) -> SplittingType:
     rem copies of O(q) and rn - rem copies of O(q-1); when rem = 0 the
     exceptional class instead gives O(q) + (rn-2) O(q-1) + O(q-2).
     """
+    n = _integer(n, "n")
     if n < 1:
         raise InvalidDegree(f"map degree must be at least 1, got {n}")
     rn = spec.rank * n

@@ -58,11 +58,14 @@ Riemann-Roch space dimensions are computed exactly over F_p:
    once, then each P whose d has that bit is added and the sum reduced,
    starting at the first P added.  A doubling is the Hensel lift u^2,
    v + (f - v^2) (2 v)^(-1) mod u^2 after the Weierstrass points of the
-   support drop out; an addition is Cantor's composition, the CRT when
-   the supports do not meet; and Cantor's reduction u' = (f - v^2) / u,
-   v' = -v mod u' runs in continued-fraction form, where each later u'
-   is the one before last plus q (v' - v), so only its first step
-   squares v.
+   support drop out; at genus 2 with deg u = 2 the same steps run as
+   straight-line coefficient arithmetic (T. Lange, AAECC 15 (2005)),
+   falling through to the list steps when u and v share a root or the
+   reduced u would drop a degree.  An addition is Cantor's composition,
+   the CRT when the supports do not meet; and Cantor's reduction
+   u' = (f - v^2) / u, v' = -v mod u' runs in continued-fraction form,
+   where each later u' is the one before last plus q (v' - v), so only
+   its first step squares v.
 
 The Newton route's R = deg U + deg K conditions cost O(R * deg f) for the
 local series, whose square root is one C-level dot product per
@@ -76,8 +79,10 @@ none of this is done.  The Newton route runs only when n <= B(g, s) =
 and the number s of x-values, and no multiplicity makes it longer.  On
 the doubling route the sites share the floor(log2(max d)) doublings,
 and each site adds its point once per set bit of its d; each step works
-on polynomials of degree at most 2g + 1 and costs O(g^2).  Nothing is
-eliminated, and numpy is not used.
+on polynomials of degree at most 2g + 1 and costs O(g^2).  At genus 2 a
+doubling of a degree-2 u in general position costs about 40
+multiplications and two inversions in one pass, against about 25 calls
+into the list helpers.  Nothing is eliminated, and numpy is not used.
 
 The conditions do not depend on the coefficient at infinity, so the two
 pole orders serve dim L(D - k*infinity) for every k (the reduced basis at
@@ -457,6 +462,55 @@ def _cantor_steps(prev, v, u, genus, p):
 
 
 def _double(u, v, f, genus, p):
+    """The reduced Mumford pair of 2 div(u, v), u monic: by
+    ``_double_genus2`` at genus 2 with deg u = 2 unless it is degenerate
+    there, else by ``_cantor_double``."""
+    if genus == 2 and len(u) == 3:
+        pair = _double_genus2(u, v, f, p)
+        if pair:
+            return pair
+    return _cantor_double(u, v, f, genus, p)
+
+
+def _double_genus2(u, v, f, p):
+    """``_cantor_double``'s steps at genus 2 for monic u of degree 2, in
+    straight-line coefficient arithmetic with two inversions, or None
+    where they degenerate: when u and v share a root (the resultant
+    r = res(u, v) is 0), or when the lead k1 of k is 0 (u' drops degree).
+
+    (2 v)^(-1) = (v0 - u1 v1 - v1 x) / (2 r) mod u.  With w = (f - v^2) /
+    u = (x + q0) u + e, k = e (2 v)^(-1) mod u, and the free first
+    reduction step (w - 2 v k) / u - k^2 = x + q0 - 2 v1 k1 - k^2 has
+    degree 2 <= g, so it is u' once made monic, and v' = -(v + k u) mod u'.
+    """
+    u0, u1 = u[0], u[1]
+    v0 = v[0] if v else 0
+    v1 = v[1] if len(v) > 1 else 0
+    r = (v0 * v0 - u1 * v0 * v1 + u0 * v1 * v1) % p
+    if not r:
+        return None
+    w2 = f[4] - u1  # w = x^3 + w2 x^2 + w1 x + w0
+    w1 = f[3] - u1 * w2 - u0
+    q0 = w2 - u1
+    e1 = (w1 - u1 * q0 - u0) % p
+    e0 = (f[2] - v1 * v1 - u1 * w1 - u0 * w2 - u0 * q0) % p
+    i0 = v0 - u1 * v1
+    inv = pow(2 * r, -1, p)
+    k1 = (e1 * i0 - e0 * v1 + u1 * e1 * v1) * inv % p
+    if not k1:
+        return None
+    k0 = (e0 * i0 + u0 * e1 * v1) * inv % p
+    lead = pow(-k1 * k1, -1, p)
+    a1 = (1 - 2 * k0 * k1) * lead % p
+    a0 = (q0 - 2 * v1 * k1 - k0 * k0) * lead % p
+    # v + k u = (k1 x + t) u' - v', of degree 3 with lead k1
+    t = k0 + k1 * u1 - a1 * k1
+    r1 = (a0 * k1 + a1 * t - v1 - k1 * u0 - k0 * u1) % p
+    r0 = (a0 * t - v0 - k0 * u0) % p
+    return [a0, a1, 1], [r0, r1] if r1 else [r0] if r0 else []
+
+
+def _cantor_double(u, v, f, genus, p):
     """The reduced Mumford pair of 2 div(u, v).  The Weierstrass points
     of the support, where v vanishes, drop out (2 W ~ 2 infinity); the
     rest is the Hensel lift U = u^2, V = v + u k with
@@ -602,14 +656,16 @@ def _doubling_bound(genus: int, sites: int) -> int:
 
         g     s = 1     s = 4     s = 16    s = 64
         1     42/51     33/76     55/102    95/127
-        2     48/62     48/93     63/124   109/155
+        2     34/62     34/93     65/124   114/155
         4     72/84     63/126    94/168   125/210
         10   124/150   124/225   124/300   248/375
         20   209/260   159/390   276/520   496/650
 
-    Since the ladder shares its doublings among the sites, B sits above
-    the crossover by 1.3-2.5 times for s >= 4 (and by about 1.2 times for
-    s = 1); it is kept, so that no input changes route, until a benchmark
+    The g = 2 row, with the straight-line genus-2 doubling, is the
+    median of five such measurements.  Since the ladder shares its
+    doublings among the sites, B sits above the crossover by 1.3-2.7
+    times for s >= 4 (and by about 1.2 times for s = 1, 1.8 at g = 2);
+    it is kept, so that no input changes route, until a benchmark
     workload on both sides of it can show a lower bound's gain.
     """
     return (40 + 11 * genus) * (3 + sites.bit_length()) // 4

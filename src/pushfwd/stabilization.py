@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import floor
 
 from .errors import NegativeH1, OutOfScope, Overfull, RankMismatch
-from .splitting import CohSequence, SplittingType, serre_dual
+from .splitting import CohSequence, SplittingType, _integer, serre_dual
 
 SPREAD_MODES = ("any", "generic", "degree")
 
@@ -29,6 +29,8 @@ class CurveMapContext:
     bundle_degree: int = 0
 
     def __post_init__(self) -> None:
+        for field in ("genus", "map_degree", "rank", "bundle_degree"):
+            object.__setattr__(self, field, _integer(getattr(self, field), field))
         if self.genus < 0:
             raise ValueError(f"genus must be nonnegative, got {self.genus}")
         if self.map_degree < 1:
@@ -87,6 +89,8 @@ def verify_duality(push_bundle: SplittingType, push_canonical_dual: SplittingTyp
 
 def stable_form(n: int, h0: int, h1: int, q: int) -> SplittingType:
     """The stable image shape: h0 copies of O(q), h1 of O(q-2), the rest O(q-1)."""
+    n, h0, h1, q = (_integer(n, "n"), _integer(h0, "h0"), _integer(h1, "h1"),
+                    _integer(q, "q"))
     if h0 < 0 or h1 < 0:
         raise ValueError("cohomology dimensions cannot be negative")
     if h0 + h1 > n:

@@ -87,6 +87,8 @@ HYPER_PUSH_CASES = (
     ("conjugates", GENUS2, "pt:2,2:3; pt:2,3:-5", 1),
     ("genus3", "p=7; f=1,2,0,0,1,0,0,1", "inf:2; pt:3,0:3; pt:2,3:-2; pt:5,5:4", 3),
     ("genus1-m50", "p=7; f=1,1,0,1", "inf:3; pt:2,2:-1", 50),
+    # The doubling route's straight-line genus-2 steps at p = 2^31 - 1.
+    ("mersenne31", "p=2147483647; f=1,1,0,0,0,1", "pt:0,1:1000000000; pt:2,1708044750:80", 3),
 )
 FORMATS = {"text": "txt", "json": "json", "csv": "csv"}
 

@@ -464,6 +464,19 @@ def test_pushforward_at_large_map_degree(genus2_curve, monkeypatch, text, m, bud
     assert elapsed < budget, f"{elapsed:.3f}s"
 
 
+def test_genus2_doublings_of_a_degree_2_u_are_straight_line(monkeypatch):
+    # 80 P, 80 > B(2, 1), takes the doubling route: P is doubled once at
+    # deg u = 1, by Cantor's generic steps, and then five times at
+    # deg u = 2, each by the straight-line branch.
+    calls = counted(monkeypatch, "_double", "_cantor_double")
+    curve = curve_from_string("p=10007; f=3,1,4,1,5,1")
+    P = curve.affine_points()[5]
+    image = pushforward(Divisor(curve, 0, {P: 80}), ComposedMap(1))
+    assert image == SplittingType([39, 38])
+    assert [len(u) - 1 for u, *_ in calls["_double"]] == [1, 2, 2, 2, 2, 2]
+    assert [len(u) - 1 for u, *_ in calls["_cantor_double"]] == [1]
+
+
 def _conditions_left(divisor):
     """deg U0: |m(P) - m(iota P)| over the split x-values, plus one for
     each ramification point of odd multiplicity."""

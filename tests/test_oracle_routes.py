@@ -31,7 +31,7 @@ from pushfwd import (
     splitting_from_h0_sequence,
 )
 from pushfwd.campaigns import sample_curve, sample_divisor
-from pushfwd.expansions import poly_is_squarefree, split_point_series
+from pushfwd.expansions import poly_gcd, poly_is_squarefree, split_point_series
 from reference_oracle import (
     reference_basis_pole_orders,
     reference_h0_sequence,
@@ -567,6 +567,40 @@ def test_doubling_gives_the_reduced_pair(divisor, e):
         assert hyperelliptic._reduce(*hyperelliptic._compose(*doubled, *other, f, p), f, g, p) == \
             hyperelliptic._reduce(*hyperelliptic._compose(*site, *other, f, p), f, g, p), \
             (divisor, e, Q)
+
+
+def genus2_reduced_pairs():
+    """(f, p, (u, v)): the reduced pairs that ``_ladder`` gives on random
+    genus-2 curves for one or two split points of multiplicity 1-50 and,
+    half of the time or when no split point is found, a ramification
+    point; 200 curves at each prime."""
+    rng = random.Random(2)
+    for p in (3, 5, 7, 10007, 2**31 - 1):
+        for _ in range(200):
+            curve, root = _curve_with_root(rng, p, 2)
+            points = _split_points(rng, curve, rng.randint(1, 2)) or []
+            sites = [(pt.x, pt.y, rng.randint(1, 50)) for pt in points]
+            if not sites or rng.random() < 0.5:
+                sites.append((root, 0, 1))
+            f = list(curve.coeffs)
+            yield f, p, hyperelliptic._ladder(sites, f, 2, p)
+
+
+def test_genus2_doubling_matches_cantor_doubling():
+    # The straight-line branch gives the pair of Cantor's generic steps;
+    # u and v with a common root (r = 0), k1 = 0 and deg u < 2 go to
+    # those steps themselves.
+    kinds = Counter()
+    for f, p, (u, v) in genus2_reduced_pairs():
+        if len(u) != 3:
+            kinds[f"deg u = {len(u) - 1}"] += 1
+        elif hyperelliptic._double_genus2(u, v, f, p):
+            kinds["straight-line"] += 1
+        else:
+            kinds["r = 0" if len(poly_gcd(u, v, p)) > 1 else "k1 = 0"] += 1
+        assert hyperelliptic._double(u, v, f, 2, p) == \
+            hyperelliptic._cantor_double(u, v, f, 2, p), (p, f, u, v)
+    assert kinds["straight-line"] >= 400 and kinds["r = 0"] and kinds["deg u = 1"], kinds
 
 
 @pytest.mark.parametrize("doubled", [False, True], ids=["own-bound", "doubling-everywhere"])

@@ -7,12 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pushfwd import (
+    AtiyahBundleSpec,
     CohSequence,
+    CurveMapContext,
     InvalidSequence,
     NegativeSecondDifference,
     RankMismatch,
     SplittingType,
     direct_image_g0,
+    direct_image_g1,
+    g0_oracle_sequence,
     h0,
     h0_sequence_from_callable,
     h0_sequence_of,
@@ -254,8 +258,20 @@ def test_non_integers_are_rejected_by_name():
         (lambda: SplittingType([1.5, 0]), "twist must be an integer, got 1.5"),
         (lambda: SplittingType(["3"]), "twist must be an integer, got '3'"),
         (lambda: SplittingType.from_pairs([(1, 1.5)]), "multiplicity must be an integer, got 1.5"),
-        (lambda: stable_form(3, 1.5, 0, 0), "multiplicity must be an integer, got 1.5"),
-        (lambda: direct_image_g0(2.0, 1), "twist must be an integer, got 0.0"),
+        (lambda: stable_form(3, 1.5, 0, 0), "h0 must be an integer, got 1.5"),
+        (lambda: stable_form(4.0, 1, 1, 0), "n must be an integer, got 4.0"),
+        (lambda: stable_form(4, 1, 1.0, 0), "h1 must be an integer, got 1.0"),
+        (lambda: stable_form(4, 1, 1, 0.5), "q must be an integer, got 0.5"),
+        (lambda: direct_image_g0(2.0, 1), "n must be an integer, got 2.0"),
+        (lambda: direct_image_g0(2, 1.0), "m must be an integer, got 1.0"),
+        (lambda: g0_oracle_sequence(2.0, 3), "n must be an integer, got 2.0"),
+        (lambda: direct_image_g1(2.0, AtiyahBundleSpec(1, 3)), "n must be an integer, got 2.0"),
+        (lambda: AtiyahBundleSpec(1.0, 3), "rank must be an integer, got 1.0"),
+        (lambda: AtiyahBundleSpec(1, "3"), "degree must be an integer, got '3'"),
+        (lambda: CurveMapContext(2.5, 3, 1, 1), "genus must be an integer, got 2.5"),
+        (lambda: CurveMapContext(2, 3.0, 1, 1), "map_degree must be an integer, got 3.0"),
+        (lambda: CurveMapContext(2, 3, 1.0, 1), "rank must be an integer, got 1.0"),
+        (lambda: CurveMapContext(2, 3, 1, 0.5), "bundle_degree must be an integer, got 0.5"),
         (lambda: CohSequence(0, (3.7, 1, 0, 0), 2), "window value must be an integer, got 3.7"),
         (lambda: CohSequence(0.5, (3, 1, 0, 0), 2), "lo must be an integer, got 0.5"),
         (lambda: CohSequence(0, (3, 1, 0, 0), 2.0), "rank_hint must be an integer, got 2.0"),
