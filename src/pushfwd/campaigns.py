@@ -7,7 +7,8 @@ computed values, and per-instance scan rows for CSV emission.
 The campaigns check closed forms against splittings extracted from
 computed h0 windows, not against ``pushforward``, which reads them off the
 reduced basis.  A failing oracle instance's exemplar also holds each such
-window and the read-out splitting of the same input.
+window, the read-out splitting of the same input, and the pole cap and
+pole orders that both are read from.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .hyperelliptic import (
     CurvePoint,
     Divisor,
     HyperellipticCurve,
+    _pole_orders,
     canonical_divisor,
     divisor_to_string,
     h0_sequence,
@@ -126,12 +128,15 @@ def _extracted(divisor, cover):
 
 
 def _window_record(divisor, cover) -> dict:
-    """The extracted h0 window of one oracle input and the splitting
-    ``pushforward`` reads off the reduced basis for it."""
+    """The extracted h0 window of one oracle input, the splitting
+    ``pushforward`` reads off the reduced basis for it, and the pole cap
+    and the two pole orders of that basis, from which both follow."""
     seq = h0_sequence(divisor, cover)
+    cap, orders = _pole_orders(divisor)
     return {"divisor": divisor_to_string(divisor), "m": cover.exponent,
             "lo": seq.lo, "values": list(seq.values),
-            "read_out": splitting_text(pushforward(divisor, cover))}
+            "read_out": splitting_text(pushforward(divisor, cover)),
+            "cap": cap, "orders": list(orders)}
 
 
 def _genus0_instance(rng, max_genus, max_m):

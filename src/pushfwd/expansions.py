@@ -14,6 +14,20 @@ The expansion reads only the first prec coefficients of f(x0 + t), which
 O(prec * deg f).  The square root then takes prec C-level dot products
 (``sum(map(mul, ...))``) of at most prec / 2 terms each, O(prec^2)
 multiplications but no interpreted inner loop.
+
+Two long passes of scalar-times-vector updates mod p run on ``Slots``
+instead: ``poly_gcd`` (curve validation's squarefree test) and the
+oracle's Newton interpolant.  A ``Slots`` int holds residues W bits
+apart, W set by a stated bound ``top`` on the largest value a slot may
+reach between reductions, so a whole vector is scaled, shifted or added
+in one C-level big-int operation, and one slot-wise Barrett reduction
+(five more) brings every slot back into [0, 3p) without a borrow
+between slots.  Each caller states its bound and why it holds.  The
+other loops stay on lists.  The Taylor shift and the oracle's remainder
+sequence measured no faster packed at the lengths the oracle meets; the
+square root is already C-level dot products; and the Cantor helpers
+``divmod_residues``, ``poly_mul`` and ``poly_xgcd`` serve the doubling
+route, which no benchmark workload yet times.
 """
 
 from __future__ import annotations
@@ -51,10 +65,6 @@ def poly_derivative(coeffs, p: int) -> list[int]:
     return poly_trim([(k * c) % p for k, c in enumerate(coeffs)][1:])
 
 
-def _residues(coeffs, p: int) -> list[int]:
-    return poly_trim([c % p for c in coeffs])
-
-
 def divmod_residues(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
     """(quotient, remainder) of trimmed lists of residues over F_p.
     Coefficients are reduced only where a quotient term reads them and
@@ -89,39 +99,106 @@ def poly_scale(a: list[int], c: int, p: int) -> list[int]:
     return [x * c % p for x in a]
 
 
-def poly_gcd(a, b, p: int) -> list[int]:
-    """Monic gcd over F_p.  The inputs are reduced once; every remainder
-    of the Euclid loop is already a trimmed list of residues.
+class Slots:
+    """Values mod p packed into one int, ``width`` bits apart (slot i holds
+    bits width * i up to width * (i + 1)), for slot values below 2**vb,
+    vb = top.bit_length(), where top >= 2p is the largest value a caller
+    lets a slot reach; ``reduce`` serves the lowest ``count`` slots.
 
-    A remainder one degree below its divisor, the usual case, is
-    a - (q1 x + q0) b with both quotient terms read off the leads, in one
-    pass; a larger degree drop goes through ``divmod_residues``.
+    ``reduce`` is Barrett's reduction (P. Barrett, CRYPTO '86) on every
+    slot at once, X - (((X mu) >> shift) & low) p with shift = vb - 1
+    and mu = 2**shift // p >= 1.  Per slot x the quotient
+    q = floor(x mu / 2**shift) is at most x / p and above
+    x / p - x / 2**shift - 1 > x / p - 3, since x < 2**vb = 2**(shift + 1):
+    so x - q p lies in [0, 3p), every slot stays nonnegative and nothing
+    borrows from the next.  The width is the bit length of
+    (2**vb - 1) mu, so x mu fits in its slot and ``low``, the
+    width - shift bits above the shift of each slot, reads q exactly.
     """
-    a, b = _residues(a, p), _residues(b, p)
-    while b:
-        if len(a) == len(b) + 1:
-            inv = pow(b[-1], -1, p)  # a trimmed lead
-            shifted = [0] + b
-            q1 = a[-1] * inv % p
-            q0 = (a[-2] - q1 * shifted[-2]) * inv % p
-            r = [(x - q1 * y - q0 * z) % p for x, y, z in zip(a, shifted, b)]
-            while r and not r[-1]:
-                r.pop()
-        else:
-            _, r = divmod_residues(a, b, p)
-        a, b = b, r
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(c * inv) % p for c in a]
-    return a
+
+    __slots__ = ("p", "width", "shift", "mu", "low")
+
+    def __init__(self, p: int, top: int, count: int):
+        vb = top.bit_length()
+        self.p = p
+        self.shift = shift = vb - 1
+        self.mu = mu = (1 << shift) // p
+        self.width = width = (((1 << vb) - 1) * mu).bit_length()
+        ones = ((1 << width * count) - 1) // ((1 << width) - 1)  # 1 in every slot
+        self.low = ((1 << (width - shift)) - 1) * ones
+
+    def pack(self, values) -> int:
+        """The residues of ``values`` mod p, value i in slot i."""
+        width, p = self.width, self.p
+        out = 0
+        for c in reversed(values):
+            out = out << width | c % p
+        return out
+
+    def unpack(self, packed: int, count: int) -> list[int]:
+        """The first ``count`` slots, each reduced mod p."""
+        width, p = self.width, self.p
+        slot = (1 << width) - 1
+        return [(packed >> width * i & slot) % p for i in range(count)]
+
+    def reduce(self, packed: int) -> int:
+        """Every slot, at most 2**vb - 1, brought into [0, 3p) and kept in
+        its residue class; slots above ``count`` must be 0."""
+        return packed - (packed * self.mu >> self.shift & self.low) * self.p
+
+
+def poly_gcd(a, b, p: int) -> list[int]:
+    """Monic gcd over F_p, by Euclid's algorithm on ``Slots`` ints.  The
+    inputs are packed as residues; each remainder is a packed int
+    whose slots lie in [0, 3p), so a lead is read and reduced mod p when
+    a quotient term needs it.
+
+    Quotient terms are taken from the top two at a time: with q1 and q0
+    read off the leads, the remainder a - (q1 x + q0) b of the usual
+    one-degree drop is A + (p - q1) (B << W) + (p - q0) B, then one
+    ``reduce``, and the cleared top slots, each 0, p or 2p, are masked
+    off together with any zero leads below them.  A slot then holds at
+    most 3p - 1 + 2 p (3p - 1) = (3p - 1)(2p + 1), the ``top`` of the
+    layout: its own value and two products of a residue's complement
+    p - q <= p and a slot of B.
+    """
+    slots = Slots(p, (3 * p - 1) * (2 * p + 1), max(len(a), len(b)))
+    width = slots.width
+    big_a, big_b = slots.pack(a), slots.pack(b)
+    la, lb = -(-big_a.bit_length() // width), -(-big_b.bit_length() // width)
+    slot = (1 << width) - 1
+    while lb:
+        inv = pow(big_b >> width * (lb - 1), -1, p)  # a trimmed lead
+        second = big_b >> width * (lb - 2) & slot if lb > 1 else 0
+        top = la - 1
+        while top >= lb - 1:
+            q1 = (big_a >> width * top & slot) * inv % p
+            shifted = top - lb + 1
+            if shifted:  # two quotient terms, q1 x^shifted and q0 x^(shifted - 1)
+                q0 = ((big_a >> width * (top - 1) & slot) - q1 * second) * inv % p
+                big_a += big_b * ((p - q1) << width | p - q0) << width * (shifted - 1)
+                top -= 2
+            else:
+                big_a += (p - q1) * big_b
+                top -= 1
+            big_a = slots.reduce(big_a)
+        # Slots lb - 1 and up are 0 mod p now; so may be some below them.
+        top = lb - 2
+        while top >= 0 and not (big_a >> width * top & slot) % p:
+            top -= 1
+        big_a &= (1 << width * (top + 1)) - 1
+        big_a, big_b, la, lb = big_b, big_a, lb, top + 1
+    a = slots.unpack(big_a, la)
+    return poly_scale(a, pow(a[-1], -1, p), p) if a else a
 
 
 def poly_xgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     """(d, t): d = s a + t b is the monic gcd of the trimmed lists of
     residues a and b, not both 0, for some s; so t is 1 / b mod a when
-    d = 1.  ``poly_gcd``'s loop with the cofactor of b, kept apart from
-    it: curve validation runs ``poly_gcd`` on every new curve, and
-    tracking a cofactor there tripled its time."""
+    d = 1.  Euclid's loop with the cofactor of b on lists, kept apart
+    from ``poly_gcd``: curve validation runs that on every new curve,
+    and tracking a cofactor in its list loop tripled its time.  Here the
+    operands are Cantor's, of degree at most 2g + 2."""
     t0, t1 = [], [1]
     while b:
         q, r = divmod_residues(a, b, p)

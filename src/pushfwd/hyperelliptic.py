@@ -69,10 +69,12 @@ Riemann-Roch space dimensions are computed exactly over F_p:
 
 The Newton route's R = deg U + deg K conditions cost O(R * deg f) for the
 local series, whose square root is one C-level dot product per
-coefficient, and a site of one node needs none; the deg U0 <= R nodes
-that remain after K is taken out cost O(deg U0^2), in about deg U0 list
-passes, for the interpolant (one pass for a single site), and about 3 (deg U0 - g)^2 / 8 list work for the
-remainder sequence: from deg r_(i-1) = d it reads d - g - 1
+coefficient, and a site of one node needs none.  The deg U0 <= R nodes
+that remain after K is taken out cost the interpolant O(deg U0^2)
+coefficient work, done as about deg U0 (s - 1) / 2 updates of a few
+C-level big-int operations each, one per node and later site (none for
+a single site); and they cost the remainder sequence about
+3 (deg U0 - g)^2 / 8 list work: from deg r_(i-1) = d it reads d - g - 1
 coordinates, for d from n down to (n + g) / 2.  When deg U0 <= g + 1
 none of this is done.  The Newton route runs only when n <= B(g, s) =
 (40 + 11 g) (4 + floor(log2 s)) / 4, so its cost is bounded by the genus
@@ -119,6 +121,7 @@ from .errors import (
     WrongGenus,
 )
 from .expansions import (
+    Slots,
     divmod_residues,
     poly_axpy,
     poly_eval,
@@ -376,44 +379,54 @@ def _newton_interpolant(sites, p):
     t^len(target) for each (x0, target) of ``sites``; the x0 are distinct
     and the nodes are each x0 repeated len(target) times, in site order.
 
-    The expansions of V so far and of N so far at every later site are
-    stacked into two vectors, as the terms of the targets are.  The
-    coordinates W of a site solve V + N * W = target there, one series
-    division by the unit N(x0 + t), a single pass where N is constant (at
-    the first site, and at any site of one node); each of its nodes then
-    updates both vectors, V += c N and N *= (x - x0), in one pass each
-    over the later sites' terms.  The last site has none to update, so a
-    single site's coordinates are its target.
+    The expansions of V so far and of N so far at each later site are two
+    ``Slots`` ints of that site's len(target) terms, V starting at 0 and
+    N at 1.  The coordinates W of a site solve V + N * W = target there,
+    one series division by the unit N(x0 + t), a single pass where N is
+    constant (at the first site, where W is the target, and at any site
+    of one node); each of its nodes c then updates every later site in a
+    few big-int operations: V += c N, and N *= (x - x0) is
+    N dx + (N << width), dx = x1 - x0 at that site's x1, masked to its
+    terms and reduced.  The last site has none to update, so a single
+    site builds no layout and its coordinates are its target.
+
+    A slot of N holds at most (3p - 1) p before its reduction: dx < p
+    times a reduced slot, below 3p, plus the slot below it.  V is never
+    reduced, only read mod p: each of the n nodes before the last site
+    adds c N <= (p - 1)(3p - 1) to a slot.  Both stay below 3 p^2 n, the
+    ``top`` of the layout, so every slot fits in its width and each
+    reduction of N is exact.
     """
-    xs: list[int] = []
-    within: list[int] = []  # 0 where the t-shift would cross into a site
-    for x0, target in sites:
-        xs += [x0] * len(target)
-        within += [0] + [1] * (len(target) - 1)
-    v = [0] * len(xs)
-    n = [1 - w for w in within]
     nodes: list[int] = []
     coords: list[int] = []
+    later = [[x0, len(target), 0, 1] for x0, target in sites[1:]]  # x1, terms, V, N
+    if later:
+        slots = Slots(p, 3 * p * p * (sum(len(t) for _, t in sites) - later[-1][1]),
+                      max(d for _, d, _, _ in later))
+        width = slots.width
     for x0, target in sites:
         d = len(target)
-        here_v, here_n = [a % p for a in v[:d]], n[:d]
-        v, n, within = v[d:], n[d:], within[d:]
-        dx = [x - x0 for x in xs[d:]]
-        xs = xs[d:]
-        inv = pow(here_n[0], -1, p)  # N(x0) != 0: the sites' x0 are distinct
-        higher = [(i, a) for i, a in enumerate(here_n) if i and a]
-        if higher:
-            w: list[int] = []
-            for k in range(d):
-                acc = target[k] - here_v[k] - sum(a * w[k - i] for i, a in higher if i <= k)
-                w.append(acc * inv % p)
-        else:  # N is the constant N(x0) here: always so at the first site
-            w = [(t - a) * inv % p for t, a in zip(target, here_v)]
-        if xs:
+        if not nodes:  # the first site: V = 0 and N = 1
+            w = [t % p for t in target]
+        else:
+            _, _, v, n = later.pop(0)
+            here_v, here_n = slots.unpack(v, d), slots.unpack(n, d)
+            inv = pow(here_n[0], -1, p)  # N(x0) != 0: the sites' x0 are distinct
+            higher = [(i, a) for i, a in enumerate(here_n) if i and a]
+            if higher:
+                w = []
+                for k in range(d):
+                    acc = target[k] - here_v[k] - sum(a * w[k - i] for i, a in higher if i <= k)
+                    w.append(acc * inv % p)
+            else:  # N is the constant N(x0) here
+                w = [(t - a) * inv % p for t, a in zip(target, here_v)]
+        for site in later:
+            x1, terms, v, n = site
+            dx, mask = (x1 - x0) % p, (1 << width * terms) - 1
             for c in w:
-                if c:
-                    v = [a + c * b for a, b in zip(v, n)]  # reduced when read
-                n = [(x * a + s * b) % p for x, a, s, b in zip(dx, n, within, [0] + n)]
+                v += c * n
+                n = slots.reduce((n * dx + (n << width)) & mask)
+            site[2], site[3] = v, n
         nodes += [x0] * d
         coords += w
     return nodes, coords

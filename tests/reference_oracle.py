@@ -13,7 +13,8 @@ must give the same dimensions.
 ``reference_h0_sequence`` reads a whole h0 window from one such
 elimination, and ``reference_basis_pole_orders`` is the oracle's
 remainder sequence on every Newton coordinate, or with a given number of
-the lowest dropped before the first step.
+the lowest dropped before the first step.  ``reference_newton_interpolant``
+is the oracle's interpolant on lists of residues.
 
 The package itself needs neither the elimination nor the ramification
 series, so they live here: ``pivot_columns_mod_p``, a numpy column
@@ -319,3 +320,56 @@ def reference_basis_pole_orders(nodes, v, genus, p, drop=0, quotients=None):
         prev, cur = cur, rem
     m = len(prev) - 1 + low
     return 2 * m, 2 * (n - m) + 2 * genus + 1
+
+
+def reference_newton_interpolant(sites, p):
+    """Nodes z and Newton coordinates c of a polynomial V = sum c_i N_i,
+    N_i = (x - z_0) ... (x - z_(i-1)), with V(x0 + t) = target(t) mod
+    t^len(target) for each (x0, target) of ``sites``; the x0 are distinct
+    and the nodes are each x0 repeated len(target) times, in site order.
+
+    The expansions of V so far and of N so far at every later site are
+    stacked into two vectors, as the terms of the targets are.  The
+    coordinates W of a site solve V + N * W = target there, one series
+    division by the unit N(x0 + t), a single pass where N is constant (at
+    the first site, and at any site of one node); each of its nodes then
+    updates both vectors, V += c N and N *= (x - x0), in one pass each
+    over the later sites' terms.  The last site has none to update, so a
+    single site's coordinates are its target.
+
+    This is ``hyperelliptic._newton_interpolant`` on lists of residues,
+    one list comprehension per node, where the oracle keeps each later
+    site's expansions as packed ``Slots`` ints.
+    """
+    xs: list[int] = []
+    within: list[int] = []  # 0 where the t-shift would cross into a site
+    for x0, target in sites:
+        xs += [x0] * len(target)
+        within += [0] + [1] * (len(target) - 1)
+    v = [0] * len(xs)
+    n = [1 - w for w in within]
+    nodes: list[int] = []
+    coords: list[int] = []
+    for x0, target in sites:
+        d = len(target)
+        here_v, here_n = [a % p for a in v[:d]], n[:d]
+        v, n, within = v[d:], n[d:], within[d:]
+        dx = [x - x0 for x in xs[d:]]
+        xs = xs[d:]
+        inv = pow(here_n[0], -1, p)  # N(x0) != 0: the sites' x0 are distinct
+        higher = [(i, a) for i, a in enumerate(here_n) if i and a]
+        if higher:
+            w: list[int] = []
+            for k in range(d):
+                acc = target[k] - here_v[k] - sum(a * w[k - i] for i, a in higher if i <= k)
+                w.append(acc * inv % p)
+        else:  # N is the constant N(x0) here: always so at the first site
+            w = [(t - a) * inv % p for t, a in zip(target, here_v)]
+        if xs:
+            for c in w:
+                if c:
+                    v = [a + c * b for a, b in zip(v, n)]  # reduced when read
+                n = [(x * a + s * b) % p for x, a, s, b in zip(dx, n, within, [0] + n)]
+        nodes += [x0] * d
+        coords += w
+    return nodes, coords

@@ -1,6 +1,7 @@
 """Campaign failure exemplars: a failing oracle instance records its
-extracted h0 windows and the read-out splitting, enough to reproduce it
-from its JSON record alone; a passing instance records nothing."""
+extracted h0 windows, the read-out splitting and the pole cap and orders
+they are read from, enough to reproduce it from its JSON record alone; a
+passing instance records nothing."""
 
 import json
 
@@ -18,6 +19,7 @@ from pushfwd import (
     twist,
 )
 from pushfwd import campaigns
+from pushfwd.hyperelliptic import _pole_orders
 
 
 def _off_by_one(closed_form):
@@ -53,6 +55,14 @@ def test_failure_exemplar_reproduces_from_its_json(campaign, name, wrong, count,
                 CohSequence(window["lo"], window["values"], cover.degree))
             assert splitting_text(extracted) == window["read_out"]
             assert splitting_text(pushforward(divisor, cover)) == window["read_out"]
+            # The window follows from the recorded pole cap and orders alone:
+            # dim L(D - k inf) counts x^i v_j of pole order 2i + o_j <= cap - k.
+            cap, orders = window["cap"], window["orders"]
+            assert _pole_orders(divisor) == (cap, tuple(orders))
+            n = cover.degree
+            assert window["values"] == [
+                sum(max(0, (cap - n * l - o) // 2 + 1) for o in orders)
+                for l in range(window["lo"], window["lo"] + len(window["values"]))]
 
 
 def test_passing_instances_record_no_window(monkeypatch):

@@ -89,6 +89,11 @@ HYPER_PUSH_CASES = (
     ("genus1-m50", "p=7; f=1,1,0,1", "inf:3; pt:2,2:-1", 50),
     # The doubling route's straight-line genus-2 steps at p = 2^31 - 1.
     ("mersenne31", "p=2147483647; f=1,1,0,0,0,1", "pt:0,1:1000000000; pt:2,1708044750:80", 3),
+    # The Newton route's packed interpolant at its widest slots: genus 12 at
+    # p = 2^31 - 1, six split x-values, n = 29 nodes in [g + 2, B(12, 6)].
+    ("genus12-mersenne31", "p=2147483647; f=1,3,0,0,0,0,0,5,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1",
+     "inf:-3; pt:0,1:5; pt:0,2147483646:-2; pt:2,1207140418:-4; pt:4,1034689055:3; "
+     "pt:5,1207224530:-6; pt:6,1141634802:2; pt:11,1200644925:7", 4),
 )
 FORMATS = {"text": "txt", "json": "json", "csv": "csv"}
 

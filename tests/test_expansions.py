@@ -8,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pushfwd.expansions import (
+    Slots,
     divmod_residues,
+    poly_derivative,
     poly_eval,
     poly_gcd,
     poly_is_squarefree,
@@ -24,6 +26,9 @@ from reference_oracle import (
     series_mul,
     weierstrass_point_series,
 )
+
+
+PRIMES = (3, 5, 7, 13, 10007, 2**31 - 1)
 
 
 def test_poly_eval_and_taylor_prefix():
@@ -114,14 +119,15 @@ def reference_gcd(a, b, p):
 def gcd_inputs(draw):
     # A common factor makes the gcd nontrivial, and frequent zero
     # coefficients make remainders drop by more than one degree, at every
-    # size of prime.  Each product is lifted back into [-2p, 2p].
-    p = draw(st.sampled_from((3, 5, 7, 13, 10007, 2**31 - 1)))
+    # size of prime.  Each product is lifted back into [-2p, 2p].  Lengths
+    # run from 0 to 170, past the 82 coefficients of a genus-40 curve.
+    p = draw(st.sampled_from(PRIMES))
     coeff = st.one_of(st.just(0), st.integers(-2 * p, 2 * p))
-    common = draw(st.lists(coeff, max_size=4))
+    common = draw(st.lists(coeff, max_size=8))
     lift = st.integers(-1, 1)
 
     def poly():
-        factor = draw(st.lists(coeff, max_size=9))
+        factor = draw(st.lists(coeff, max_size=171 - max(1, len(common))))
         if not common:
             return factor
         return [c + draw(lift) * p for c in _poly_mul(factor, common, p)]
@@ -135,6 +141,43 @@ def gcd_inputs(draw):
 def test_poly_gcd_matches_the_divmod_loop(case):
     a, b, p = case
     assert poly_gcd(a, b, p) == reference_gcd(a, b, p)
+
+
+def test_poly_gcd_matches_the_divmod_loop_at_every_length():
+    # a of each length from 0 to 170 against a shorter b and against its
+    # derivative, as in the squarefree test of a curve of genus up to 84,
+    # both multiples of a random common factor, the primes in turn.
+    rng = random.Random(19)
+    for length in range(171):
+        for p in PRIMES[length % 2::2]:
+            def poly(size):  # a lead that is not 0
+                if not size:
+                    return []
+                return [rng.randrange(p) for _ in range(size - 1)] + [rng.randrange(1, p)]
+
+            common = poly(rng.randint(1, 5))
+            factor = poly(max(0, length - len(common) + 1))
+            a = _poly_mul(factor, common, p) if factor else poly(length)
+            b = _poly_mul(poly(rng.randint(0, len(factor))), common, p)
+            assert len(a) == length
+            assert poly_gcd(a, b, p) == reference_gcd(a, b, p), (length, p)
+            b = poly_derivative(a, p)
+            assert poly_gcd(a, b, p) == reference_gcd(a, b, p), (length, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_slot_reduction_at_the_largest_value_its_bound_admits(p):
+    # The layouts of poly_gcd and of the interpolant, at one node and at
+    # 300; every slot holds 2**vb - 1, vb the bit length of the bound.
+    for top in ((3 * p - 1) * (2 * p + 1), 3 * p * p, 3 * p * p * 300):
+        count = 40
+        slots = Slots(p, top, count)
+        full, width = (1 << top.bit_length()) - 1, slots.width
+        packed = slots.reduce(sum(full << width * i for i in range(count)))
+        raw = [packed >> width * i & ((1 << width) - 1) for i in range(count)]
+        assert packed >> width * count == 0
+        assert all(0 <= x < 3 * p and x % p == full % p for x in raw), (p, top)
+        assert slots.unpack(packed, count) == [full % p] * count
 
 
 def test_series_mul_truncation():

@@ -14,7 +14,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pushfwd.hyperelliptic as hyperelliptic
@@ -35,6 +35,7 @@ from pushfwd.expansions import poly_gcd, poly_is_squarefree, split_point_series
 from reference_oracle import (
     reference_basis_pole_orders,
     reference_h0_sequence,
+    reference_newton_interpolant,
     reference_rr_space_dims,
 )
 
@@ -296,6 +297,36 @@ def test_basis_read_out_matches_window_extraction():
     assert set(kinds["no-oracle-degree"]) == {"no oracle degree"}
     assert set(kinds["hand-cases"]) == {"no oracle degree", "cap' < 0", "cap' >= 0"}
     assert kinds["campaign-sampler"]["cap' >= 0"] > 0
+
+
+PRIMES = (3, 5, 7, 13, 10007, 2**31 - 1)
+
+
+@st.composite
+def interpolant_sites(draw):
+    # 1-10 sites at distinct x-values, of 1-12 nodes each, each target
+    # term p - 1, the largest residue, or a random one.
+    p = draw(st.sampled_from(PRIMES))
+    xs = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=min(10, p), unique=True))
+    term = st.one_of(st.just(p - 1), st.integers(0, p - 1))
+    return [(x0, draw(st.lists(term, min_size=1, max_size=12))) for x0 in xs], p
+
+
+def _long_first_site(p):
+    """A first site of 300 nodes, then two of a few nodes: at those two, V
+    gains 300 products c N before it is read."""
+    return [(0, [p - 1] * 300), (1, [p - 1] * 3), (2, [p - 1] * 7)], p
+
+
+@given(interpolant_sites())
+@settings(max_examples=200, deadline=None)
+@example(_long_first_site(3))
+@example(_long_first_site(10007))
+@example(_long_first_site(2**31 - 1))
+def test_newton_interpolant_matches_the_list_passes(case):
+    sites, p = case
+    assert hyperelliptic._newton_interpolant(sites, p) == \
+        reference_newton_interpolant(sites, p)
 
 
 def remainder_sequences():
