@@ -9,10 +9,17 @@ Riemann-Roch oracle uses, with prec = |m(P) - m(iota P)| at a split
 x-value (an absent point has multiplicity 0); it needs no series at a
 ramification point.
 
-The expansion reads only the first prec coefficients of f(x0 + t), which
-``taylor_prefix`` computes by prec synthetic divisions by (x - x0) in
-O(prec * deg f).  The square root then takes prec C-level dot products
-(``sum(map(mul, ...))``) of at most prec / 2 terms each, O(prec^2)
+The expansion reads only the first prec coefficients of f(x0 + t),
+which ``taylor_prefix`` takes from one C-level dot product
+(``sum(map(mul, ...))``) of f's coefficients times powers of x0 with
+binomial columns packed min(prec, len f) slots wide.  Slot k of that
+sum is at most (p - 1) C(len f, k + 1), and its width is the bit length
+of the largest such bound, so no slot needs a reduction before it is
+read; the columns depend only on (len f, count, width) and are cached
+(``_binomial_columns``: at most 128 tables, length * count * width bits
+each).  That is deg f + prec interpreted steps, where prec synthetic
+divisions by (x - x0) take O(prec * deg f).  The square root then takes
+prec C-level dot products of at most prec / 2 terms each, O(prec^2)
 multiplications but no interpreted inner loop.
 
 Two long passes of scalar-times-vector updates mod p run on ``Slots``
@@ -23,15 +30,17 @@ reach between reductions, so a whole vector is scaled, shifted or added
 in one C-level big-int operation, and one slot-wise Barrett reduction
 (five more) brings every slot back into [0, 3p) without a borrow
 between slots.  Each caller states its bound and why it holds.  The
-other loops stay on lists.  The Taylor shift and the oracle's remainder
-sequence measured no faster packed at the lengths the oracle meets; the
-square root is already C-level dot products; and the Cantor helpers
+other loops stay on lists.  The oracle's remainder sequence measured no
+faster packed at the lengths the oracle meets; the square root is
+already C-level dot products; and the Cantor helpers
 ``divmod_residues``, ``poly_mul`` and ``poly_xgcd`` serve the doubling
 route, which no benchmark workload yet times.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import comb
 from operator import mul
 
 
@@ -147,6 +156,17 @@ class Slots:
         return packed - (packed * self.mu >> self.shift & self.low) * self.p
 
 
+@lru_cache(maxsize=128)
+def _cached_slots(p: int, top: int, count: int) -> Slots:
+    """``Slots(p, top, count)``, built once per key and shared, for a
+    layout that recurs call after call (``poly_gcd``'s, one per prime and
+    operand length).  At most 128 layouts are kept, each holding a
+    ``low`` mask of count * width bits; at ``poly_gcd``'s top the width is
+    at most 99 bits below p = 2**31, so at count 82 (genus 40) a layout
+    holds about 1 KB."""
+    return Slots(p, top, count)
+
+
 def poly_gcd(a, b, p: int) -> list[int]:
     """Monic gcd over F_p, by Euclid's algorithm on ``Slots`` ints.  The
     inputs are packed as residues; each remainder is a packed int
@@ -162,7 +182,7 @@ def poly_gcd(a, b, p: int) -> list[int]:
     layout: its own value and two products of a residue's complement
     p - q <= p and a slot of B.
     """
-    slots = Slots(p, (3 * p - 1) * (2 * p + 1), max(len(a), len(b)))
+    slots = _cached_slots(p, (3 * p - 1) * (2 * p + 1), max(len(a), len(b)))
     width = slots.width
     big_a, big_b = slots.pack(a), slots.pack(b)
     la, lb = -(-big_a.bit_length() // width), -(-big_b.bit_length() // width)
@@ -215,22 +235,59 @@ def poly_is_squarefree(coeffs, p: int) -> bool:
     return len(poly_gcd(coeffs, deriv, p)) == 1
 
 
-def taylor_prefix(coeffs, x0: int, prec: int, p: int) -> list[int]:
-    """The first prec coefficients of f(x0 + t) as a polynomial in t.
-
-    The k-th is the remainder of the k-th synthetic division by (x - x0),
-    so prec passes of Horner's rule suffice and no k! is divided out.
+@lru_cache(maxsize=128)
+def _binomial_columns(length: int, count: int, width: int) -> tuple[int, ...]:
+    """Column i < length is (1 + X)^i, X = 2**width, truncated to its
+    lowest ``count`` slots, so slot k holds C(i, k) while that is below X,
+    as it is at every width ``taylor_prefix`` picks.  The columns depend
+    on no curve.  An entry is ``length`` ints of at most count * width
+    bits, length * count * width bits in all, where count <= length and
+    width <= bits(p) + length.  At most 128 entries are kept: the
+    ``deep`` benchmark's pool uses 89, the largest (length 82, count 10,
+    width 55 at p = 10007) 5.6 KB of digits, about 0.3 MB in all.
     """
-    high = [c % p for c in reversed(coeffs)]  # highest degree first
-    out = []
-    for _ in range(prec):
-        acc, quo = 0, []
-        for c in high:
-            acc = (acc * x0 + c) % p
-            quo.append(acc)
-        out.append(quo.pop() if quo else 0)
-        high = quo
-    return out
+    mask = (1 << width * count) - 1
+    out, col = [], 1
+    for _ in range(length):
+        out.append(col)
+        col = (col + (col << width)) & mask
+    return tuple(out)
+
+
+def taylor_prefix(coeffs, x0: int, prec: int, p: int) -> list[int]:
+    """The first prec >= 0 coefficients of f(x0 + t) as a polynomial in t.
+
+    The k-th is the Hasse derivative sum_i c_i C(i, k) x0^(i - k) (J. von
+    zur Gathen, J. Gerhard, ISSAC '97), and x0^k times it is
+    sum_i C(i, k) w_i with w_i = c_i x0^i mod p.  So with count =
+    min(prec, len f) slots of the binomial columns ``_binomial_columns``
+    packed ``width`` bits apart (D. Harvey, J. Symbolic Comput. 44
+    (2009)), sum_i w_i col_i is one C-level dot product whose slot k is
+    that multiple; slot k is then scaled by x0^(-k).  Slot k is at most
+    (p - 1) sum_(i < len f) C(i, k) = (p - 1) C(len f, k + 1), and
+    C(len f, j) for j <= count peaks at j = min(count, len f // 2); the
+    width is the bit length of that bound, so no slot carries into the
+    next and no reduction is needed before the slots are read.  At
+    x0 = 0 the shift is f's own prefix.  Coefficients past len f are 0.
+    """
+    x0 %= p
+    length = len(coeffs)
+    count = min(prec, length)
+    pad = [0] * (prec - count)
+    if not (x0 and count):
+        return [c % p for c in coeffs[:count]] + pad
+    width = ((p - 1) * comb(length, min(count, length // 2))).bit_length()
+    weights, power = [], 1
+    for c in coeffs:
+        weights.append(c * power % p)
+        power = power * x0 % p
+    packed = sum(map(mul, _binomial_columns(length, count, width), weights))
+    slot, inv = (1 << width) - 1, pow(x0, -1, p)
+    out, scale = [], 1
+    for k in range(count):
+        out.append((packed >> width * k & slot) * scale % p)
+        scale = scale * inv % p
+    return out + pad
 
 
 def sqrt_series(poly, y0: int, prec: int, p: int) -> list[int]:

@@ -67,13 +67,15 @@ Riemann-Roch space dimensions are computed exactly over F_p:
    where each later u' is the one before last plus q (v' - v), so only
    its first step squares v.
 
-The Newton route's R = deg U + deg K conditions cost O(R * deg f) for the
-local series, whose square root is one C-level dot product per
-coefficient, and a site of one node needs none.  The deg U0 <= R nodes
-that remain after K is taken out cost the interpolant O(deg U0^2)
-coefficient work, done as about deg U0 (s - 1) / 2 updates of a few
-C-level big-int operations each, one per node and later site (none for
-a single site); and they cost the remainder sequence about
+The Newton route's local series cost, per site of d > 1 nodes, one
+Taylor shift of f to d terms, a pass of deg f steps that builds one
+C-level dot product of binomial columns (``expansions.taylor_prefix``),
+and a square root of one C-level dot product per coefficient; a site of
+one node needs neither.  The deg U0 nodes that remain after K is taken
+out cost the interpolant O(deg U0^2) coefficient work, done as updates
+of a few C-level big-int operations each, one per node and later site:
+the sites go in ascending d, so the largest updates none (and a single
+site none at all); and they cost the remainder sequence about
 3 (deg U0 - g)^2 / 8 list work: from deg r_(i-1) = d it reads d - g - 1
 coordinates, for d from n down to (n + g) / 2.  When deg U0 <= g + 1
 none of this is done.  The Newton route runs only when n <= B(g, s) =
@@ -109,9 +111,10 @@ compute them when cap' < 0.  Nothing is memoized across calls.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from operator import itemgetter, mul
 
 from .errors import (
     CharacteristicTwo,
@@ -382,13 +385,15 @@ def _newton_interpolant(sites, p):
     The expansions of V so far and of N so far at each later site are two
     ``Slots`` ints of that site's len(target) terms, V starting at 0 and
     N at 1.  The coordinates W of a site solve V + N * W = target there,
-    one series division by the unit N(x0 + t), a single pass where N is
-    constant (at the first site, where W is the target, and at any site
-    of one node); each of its nodes c then updates every later site in a
-    few big-int operations: V += c N, and N *= (x - x0) is
-    N dx + (N << width), dx = x1 - x0 at that site's x1, masked to its
-    terms and reduced.  The last site has none to update, so a single
-    site builds no layout and its coordinates are its target.
+    one series division by the unit N(x0 + t) with a C-level dot product
+    per term (at the first site W is the target); each of its nodes c
+    then updates every later site in a few big-int operations: V += c N,
+    and N *= (x - x0) is N dx + (N << width), dx = x1 - x0 at that
+    site's x1, masked to its terms and reduced.  The last site has none
+    to update, so a single site builds no layout and its coordinates are
+    its target.  The updates number the sum over sites of d times the
+    count of later sites, fewest with the sites in ascending d, the order
+    ``_newton_orders`` passes them in.
 
     A slot of N holds at most (3p - 1) p before its reduction: dx < p
     times a reduced slot, below 3p, plus the slot below it.  V is never
@@ -412,14 +417,10 @@ def _newton_interpolant(sites, p):
             _, _, v, n = later.pop(0)
             here_v, here_n = slots.unpack(v, d), slots.unpack(n, d)
             inv = pow(here_n[0], -1, p)  # N(x0) != 0: the sites' x0 are distinct
-            higher = [(i, a) for i, a in enumerate(here_n) if i and a]
-            if higher:
-                w = []
-                for k in range(d):
-                    acc = target[k] - here_v[k] - sum(a * w[k - i] for i, a in higher if i <= k)
-                    w.append(acc * inv % p)
-            else:  # N is the constant N(x0) here
-                w = [(t - a) * inv % p for t, a in zip(target, here_v)]
+            w = []
+            for k in range(d):  # sum_(0 < i <= k) N_i W_(k-i), one dot product
+                acc = target[k] - here_v[k] - sum(map(mul, here_n[k:0:-1], w))
+                w.append(acc * inv % p)
         for site in later:
             x1, terms, v, n = site
             dx, mask = (x1 - x0) % p, (1 << width * terms) - 1
@@ -687,10 +688,17 @@ def _doubling_bound(genus: int, sites: int) -> int:
 def _newton_orders(curve: HyperellipticCurve, sites) -> tuple[int, int]:
     """``_orders`` by the local series, interpolant and remainder
     sequence (module docstring, step 5).  A site of one node needs no
-    series: its target is y0."""
+    series: its target is y0.
+
+    The interpolant gets the sites in ascending order of d (a stable
+    sort), since each node updates every later site: the largest site
+    last updates none.  The orders do not depend on the node order: they
+    are those of the solutions of a + b V = 0 mod U0, and the remainder
+    sequence needs only that N_(g+1) divides U0, which holds for any
+    order of the nodes."""
     p = curve.prime
     targets = [(x0, split_point_series(curve.coeffs, x0, y0, d, p)[1] if d > 1 else [y0])
-               for x0, y0, d in sites]
+               for x0, y0, d in sorted(sites, key=itemgetter(2))]
     nodes, coords = _newton_interpolant(targets, p)
     return _basis_pole_orders(nodes, coords, curve.genus, p)
 

@@ -14,7 +14,8 @@ must give the same dimensions.
 elimination, and ``reference_basis_pole_orders`` is the oracle's
 remainder sequence on every Newton coordinate, or with a given number of
 the lowest dropped before the first step.  ``reference_newton_interpolant``
-is the oracle's interpolant on lists of residues.
+is the oracle's interpolant on lists of residues, and
+``reference_taylor_prefix`` its Taylor shift by synthetic division.
 
 The package itself needs neither the elimination nor the ramification
 series, so they live here: ``pivot_columns_mod_p``, a numpy column
@@ -373,3 +374,24 @@ def reference_newton_interpolant(sites, p):
         nodes += [x0] * d
         coords += w
     return nodes, coords
+
+
+def reference_taylor_prefix(coeffs, x0: int, prec: int, p: int) -> list[int]:
+    """The first prec coefficients of f(x0 + t) as a polynomial in t.
+
+    The k-th is the remainder of the k-th synthetic division by (x - x0),
+    so prec passes of Horner's rule suffice and no k! is divided out.
+
+    This is ``expansions.taylor_prefix`` by O(prec * deg f) list steps,
+    where the oracle takes one dot product of packed binomial columns.
+    """
+    high = [c % p for c in reversed(coeffs)]  # highest degree first
+    out = []
+    for _ in range(prec):
+        acc, quo = 0, []
+        for c in high:
+            acc = (acc * x0 + c) % p
+            quo.append(acc)
+        out.append(quo.pop() if quo else 0)
+        high = quo
+    return out

@@ -94,6 +94,12 @@ HYPER_PUSH_CASES = (
     ("genus12-mersenne31", "p=2147483647; f=1,3,0,0,0,0,0,5,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1",
      "inf:-3; pt:0,1:5; pt:0,2147483646:-2; pt:2,1207140418:-4; pt:4,1034689055:3; "
      "pt:5,1207224530:-6; pt:6,1141634802:2; pt:11,1200644925:7", 4),
+    # The Newton route's widest binomial columns: genus 30 at p = 2^31 - 1,
+    # six split x-values whose d fall from 12 to 2 in x order, so that the
+    # interpolant takes them reversed; n = 38 nodes in [g + 2, B(30, 6)].
+    ("genus30-mersenne31", "p=2147483647; f=1,3,0,0,0,0,0,5" + ",0" * 53 + ",1",
+     "inf:-4; pt:2,1929775706:12; pt:3,1589367372:-9; pt:4,1529151900:7; "
+     "pt:6,494380596:-5; pt:8,448903709:3; pt:9,1063271958:2", 3),
 )
 FORMATS = {"text": "txt", "json": "json", "csv": "csv"}
 

@@ -22,6 +22,7 @@ from pushfwd.expansions import (
 from reference_oracle import (
     condition_matrix,
     poly_compose_series,
+    reference_taylor_prefix,
     series_inverse_of_poly,
     series_mul,
     weierstrass_point_series,
@@ -42,6 +43,50 @@ def test_poly_eval_and_taylor_prefix():
         for prec in range(1, 7):
             assert taylor_prefix(f, x0, prec, p) == (shifted + [0, 0, 0])[:prec]
     assert taylor_prefix([], 3, 2, p) == [0, 0]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_taylor_prefix_matches_the_synthetic_divisions_at_every_length(p):
+    # f of every length from 0 to 170 (genus up to 84), at x0 = 0, where
+    # the shift is f's own prefix, 1, p - 1 and a random x0, and at the
+    # precisions 0, 1, 2, a random one, len f and len f + 3.
+    rng = random.Random(p)
+    for length in range(171):
+        f = [rng.randrange(p) for _ in range(length)]
+        for x0 in (0, 1, p - 1, rng.randrange(p)):
+            for prec in {0, 1, 2, rng.randint(0, length + 3), length, length + 3}:
+                assert taylor_prefix(f, x0, prec, p) == \
+                    reference_taylor_prefix(f, x0, prec, p), (length, x0, prec)
+
+
+@st.composite
+def taylor_inputs(draw):
+    # Coefficients p - 1, the largest residue, or random; x0 = 0, 1,
+    # p - 1 or random.
+    p = draw(st.sampled_from(PRIMES))
+    term = st.one_of(st.just(p - 1), st.integers(0, p - 1))
+    f = draw(st.lists(term, max_size=170))
+    x0 = draw(st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1)))
+    return f, x0, draw(st.integers(0, len(f) + 3)), p
+
+
+@given(taylor_inputs())
+@settings(max_examples=300, deadline=None)
+def test_taylor_prefix_matches_the_synthetic_divisions(case):
+    f, x0, prec, p = case
+    assert taylor_prefix(f, x0, prec, p) == reference_taylor_prefix(f, x0, prec, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_taylor_prefix_slots_at_their_bound(p):
+    # Every coefficient p - 1 at length 170.  At x0 = 1 every weight is
+    # p - 1, so slot k reaches its bound (p - 1) C(170, k + 1), and at
+    # prec >= 85 the largest slot is the stated bound itself.
+    f = [p - 1] * 170
+    for x0 in (1, p - 1):
+        for prec in (1, 2, 84, 85, 86, 170, 173):
+            assert taylor_prefix(f, x0, prec, p) == \
+                reference_taylor_prefix(f, x0, prec, p), (x0, prec)
 
 
 def poly_divmod(num, den, p):

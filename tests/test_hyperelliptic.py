@@ -477,6 +477,25 @@ def test_genus2_doublings_of_a_degree_2_u_are_straight_line(monkeypatch):
     assert [len(u) - 1 for u, *_ in calls["_cantor_double"]] == [1]
 
 
+def test_interpolant_gets_the_sites_in_ascending_d(monkeypatch):
+    # Each node updates every later site, so the Newton route hands the
+    # interpolant its sites by ascending d, the largest last; a stable
+    # sort keeps the x-value order among sites of equal d.
+    calls = counted(monkeypatch, "_newton_interpolant")["_newton_interpolant"]
+    reordered = 0
+    for divisor, cover in deep_instances():
+        calls.clear()
+        pushforward(divisor, cover)
+        _, sites = hyperelliptic._conditions(divisor)
+        (targets, _), = calls
+        ds = [d for _, _, d in sites]
+        assert [len(t) for _, t in targets] == sorted(ds)
+        assert [x0 for x0, _ in targets] == \
+            [x0 for x0, _, _ in sorted(sites, key=lambda site: site[2])]
+        reordered += ds != sorted(ds)
+    assert reordered >= 15
+
+
 def _conditions_left(divisor):
     """deg U0: |m(P) - m(iota P)| over the split x-values, plus one for
     each ramification point of odd multiplicity."""

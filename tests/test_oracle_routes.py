@@ -6,10 +6,12 @@ extraction from either route's h0 window; and its sequence on the top
 coordinates against the whole sequence."""
 
 import importlib.util
+import itertools
 import random
 import sys
 from collections import Counter
 from contextlib import nullcontext
+from functools import lru_cache
 from pathlib import Path
 from unittest import mock
 
@@ -327,6 +329,34 @@ def test_newton_interpolant_matches_the_list_passes(case):
     sites, p = case
     assert hyperelliptic._newton_interpolant(sites, p) == \
         reference_newton_interpolant(sites, p)
+
+
+@lru_cache(maxsize=1)
+def newton_site_lists():
+    """(curve, sites) of every fuzz, weierstrass and deep-pool divisor
+    with at least two sites and more than g + 1 nodes, so that the
+    interpolant and the remainder sequence both run."""
+    out = []
+    for divisor, _ in itertools.chain(fuzz(), weierstrass_sampler(), deep_pool()):
+        _, sites = hyperelliptic._conditions(divisor)
+        if len(sites) > 1 and sum(d for _, _, d in sites) > divisor.curve.genus + 1:
+            out.append((divisor.curve, sites))
+    return out
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_newton_orders_do_not_depend_on_the_site_order(data):
+    # The Newton route's orders from the sites in any order, fed to the
+    # interpolant directly, are those of _newton_orders, which sorts them.
+    curve, sites = data.draw(st.sampled_from(newton_site_lists()))
+    shuffled = data.draw(st.permutations(sites))
+    p = curve.prime
+    targets = [(x0, split_point_series(curve.coeffs, x0, y0, d, p)[1] if d > 1 else [y0])
+               for x0, y0, d in shuffled]
+    nodes, coords = hyperelliptic._newton_interpolant(targets, p)
+    assert hyperelliptic._basis_pole_orders(nodes, coords, curve.genus, p) == \
+        hyperelliptic._newton_orders(curve, sites), shuffled
 
 
 def remainder_sequences():
