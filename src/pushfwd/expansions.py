@@ -32,9 +32,10 @@ in one C-level big-int operation, and one slot-wise Barrett reduction
 between slots.  Each caller states its bound and why it holds.  The
 other loops stay on lists.  The oracle's remainder sequence measured no
 faster packed at the lengths the oracle meets; the square root is
-already C-level dot products; and the Cantor helpers
-``divmod_residues``, ``poly_mul`` and ``poly_xgcd`` serve the doubling
-route, which no benchmark workload yet times.
+already C-level dot products; and the helpers ``divmod_residues``,
+``poly_mul`` and ``poly_axpy`` serve the doubling route's point
+additions and Cantor reductions, and ``poly_xgcd`` its doublings, which
+no benchmark workload yet times.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def poly_xgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]
     d = 1.  Euclid's loop with the cofactor of b on lists, kept apart
     from ``poly_gcd``: curve validation runs that on every new curve,
     and tracking a cofactor in its list loop tripled its time.  Here the
-    operands are Cantor's, of degree at most 2g + 2."""
+    operands are only a doubling's reduced (u, v), of degree at most g."""
     t0, t1 = [], [1]
     while b:
         q, r = divmod_residues(a, b, p)

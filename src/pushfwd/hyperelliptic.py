@@ -54,15 +54,13 @@ Riemann-Roch space dimensions are computed exactly over F_p:
    series is built: the sum of d (P - infinity) over the sites (P, d)
    becomes one reduced Mumford pair (u, v) in monomial coordinates by a
    single left-to-right double-and-add over the bits of every d at once
-   (Straus's multi-exponentiation): per bit the running pair is doubled
-   once, then each P whose d has that bit is added and the sum reduced,
-   starting at the first P added.  A doubling is the Hensel lift u^2,
-   v + (f - v^2) (2 v)^(-1) mod u^2 after the Weierstrass points of the
-   support drop out; at genus 2 with deg u = 2 the same steps run as
-   straight-line coefficient arithmetic (T. Lange, AAECC 15 (2005)),
-   falling through to the list steps when u and v share a root or the
-   reduced u would drop a degree.  An addition is Cantor's composition,
-   the CRT when the supports do not meet; and Cantor's reduction
+   (Straus's multi-exponentiation, ``_ladder``).  A doubling is the
+   Hensel lift u^2, v + (f - v^2) (2 v)^(-1) mod u^2 after the
+   Weierstrass points of the support drop out, straight-line at genus 2
+   with deg u = 2 unless that degenerates (T. Lange, AAECC 15 (2005)).
+   Adding a point P = (x0, y0) takes no gcd (Lange's mixed addition, for
+   any genus): u (x - x0) by the CRT off the support or by a Hensel step
+   on it, and u / (x - x0) when iota(P) is on it.  Cantor's reduction
    u' = (f - v^2) / u, v' = -v mod u' runs in continued-fraction form,
    where each later u' is the one before last plus q (v' - v), so only
    its first step squares v.
@@ -433,26 +431,27 @@ def _newton_interpolant(sites, p):
     return nodes, coords
 
 
-def _compose(u1, v1, u2, v2, f, p):
-    """A Mumford pair of div(u1, v1) + div(u2, v2) less its pairs
-    P + iota(P), whose removal leaves the class of E - deg(E) * infinity
-    as it is (Cantor's composition).  With d = gcd(u1, u2, v1 + v2) =
-    s1 u1 + s2 u2 + s3 (v1 + v2) it is u = u1 u2 / d^2 and
-    v = v1 + (s1 u1 (v2 - v1) + s3 (f - v1^2)) / d mod u; when u1 and u2
-    are coprime, d = 1, s3 = 0 and this is the CRT."""
-    d, s1 = poly_xgcd(u2, u1, p)
-    s3: list[int] = []
-    if len(d) > 1:  # the supports meet
-        d1, total = d, poly_axpy(v1, v2, 1, p)
-        d, s3 = poly_xgcd(d1, total, p)
-        s1 = poly_mul(divmod_residues(poly_axpy(d, poly_mul(s3, total, p), -1, p), d1, p)[0], s1, p)
-    w = poly_axpy(poly_mul(poly_mul(s1, u1, p), poly_axpy(v2, v1, -1, p), p),
-                  poly_mul(s3, poly_axpy(f, poly_mul(v1, v1, p), -1, p), p), 1, p)
-    u = poly_mul(u1, u2, p)
-    if len(d) > 1:
-        u = divmod_residues(u, poly_mul(d, d, p), p)[0]
-        w = divmod_residues(w, d, p)[0]
-    return u, divmod_residues(poly_axpy(v1, w, 1, p), u, p)[1]
+def _add_point(u, v, x0, y0, f, genus, p):
+    """The reduced pair of div(u, v) + P - infinity, P = (x0, y0), for a
+    reduced (u, v).  A divisor has one pair, so V = v mod u where u | U.
+    With a = u(x0) and b = v(x0), b^2 = f(x0) = y0^2 when a = 0:
+    - a != 0, P off the support: the CRT, U = u (x - x0) and V = v + c u
+      with c = (y0 - b) / a, so V(x0) = y0; then reduced.
+    - a = 0, b = -y0, iota(P) in the support (P too when y0 = 0): as
+      P + iota(P) ~ 2 infinity, U = u / (x - x0), V = v mod U, reduced.
+    - a = 0, b = y0 != 0, P in the support: a Hensel step, the CRT's form
+      with c = w(x0) / (2 y0), w = (f - v^2) / u, for f - V^2 = u (w -
+      2 c v - c^2 u) then vanishes once more at x0, at any multiplicity."""
+    a, b, line = poly_eval(u, x0, p), poly_eval(v, x0, p), [-x0 % p, 1]
+    if a:
+        c = (y0 - b) * pow(a, -1, p)
+    elif (b + y0) % p:  # b = y0 != 0
+        w = divmod_residues(poly_axpy(f, poly_mul(v, v, p), -1, p), u, p)[0]
+        c = poly_eval(w, x0, p) * pow(2 * y0, -1, p)
+    else:
+        big_u = divmod_residues(u, line, p)[0]
+        return big_u, divmod_residues(v, big_u, p)[1]
+    return _reduce(poly_mul(u, line, p), poly_axpy(v, u, c, p), f, genus, p)
 
 
 def _reduce(u, v, f, genus, p):
@@ -549,15 +548,15 @@ def _ladder(sites, f, genus, p):
     ``sites`` (x0, y0, d), P = (x0, y0), by one left-to-right
     double-and-add over the bits of every d at once (Straus): per bit the
     running pair is doubled once, then each P whose d has that bit is
-    added and the sum reduced.  It starts at the first P added."""
-    points = [(d, [-x0 % p, 1], [y0] if y0 else []) for x0, y0, d in sites]
+    added by ``_add_point``.  It starts at the first P added."""
     u = v = None
-    for bit in range(max(d for d, _, _ in points).bit_length() - 1, -1, -1):
+    for bit in range(max(d for _, _, d in sites).bit_length() - 1, -1, -1):
         if u is not None:
             u, v = _double(u, v, f, genus, p)
-        for d, pu, pv in points:
+        for x0, y0, d in sites:
             if d >> bit & 1:
-                u, v = (pu, pv) if u is None else _reduce(*_compose(u, v, pu, pv, f, p), f, genus, p)
+                u, v = ([-x0 % p, 1], [y0] if y0 else []) if u is None else \
+                    _add_point(u, v, x0, y0, f, genus, p)
     return u, v
 
 
@@ -678,9 +677,10 @@ def _doubling_bound(genus: int, sites: int) -> int:
     The g = 2 row, with the straight-line genus-2 doubling, is the
     median of five such measurements.  Since the ladder shares its
     doublings among the sites, B sits above the crossover by 1.3-2.7
-    times for s >= 4 (and by about 1.2 times for s = 1, 1.8 at g = 2);
-    it is kept, so that no input changes route, until a benchmark
-    workload on both sides of it can show a lower bound's gain.
+    times for s >= 4 (about 1.2 for s = 1, 1.8 at g = 2).  The table
+    predates ``_add_point``, whose additions cost 2.3-3 times less,
+    so the s >= 4 crossovers are lower still; B is kept, so that no input
+    changes route, until a benchmark on both sides of it shows the gain.
     """
     return (40 + 11 * genus) * (3 + sites.bit_length()) // 4
 

@@ -16,6 +16,9 @@ remainder sequence on every Newton coordinate, or with a given number of
 the lowest dropped before the first step.  ``reference_newton_interpolant``
 is the oracle's interpolant on lists of residues, and
 ``reference_taylor_prefix`` its Taylor shift by synthetic division.
+``reference_compose`` is Cantor's general composition of two Mumford
+pairs, which the oracle's ladder replaces by adding one point at a time,
+and ``addition_case`` names the case of that addition.
 
 The package itself needs neither the elimination nor the ramification
 series, so they live here: ``pivot_columns_mod_p``, a numpy column
@@ -27,7 +30,16 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from pushfwd.expansions import poly_eval, poly_trim, split_point_series, taylor_prefix
+from pushfwd.expansions import (
+    divmod_residues,
+    poly_axpy,
+    poly_eval,
+    poly_mul,
+    poly_trim,
+    poly_xgcd,
+    split_point_series,
+    taylor_prefix,
+)
 from pushfwd.hyperelliptic import MAX_PRIME
 from pushfwd.splitting import h0_sequence_from_callable
 
@@ -395,3 +407,39 @@ def reference_taylor_prefix(coeffs, x0: int, prec: int, p: int) -> list[int]:
         out.append(quo.pop() if quo else 0)
         high = quo
     return out
+
+
+def reference_compose(u1, v1, u2, v2, f, p):
+    """A Mumford pair of div(u1, v1) + div(u2, v2) less its pairs
+    P + iota(P), whose removal leaves the class of E - deg(E) * infinity
+    as it is (D. G. Cantor, Math. Comp. 48 (1987)).  With
+    d = gcd(u1, u2, v1 + v2) = s1 u1 + s2 u2 + s3 (v1 + v2) it is
+    u = u1 u2 / d^2 and v = v1 + (s1 u1 (v2 - v1) + s3 (f - v1^2)) / d
+    mod u; when u1 and u2 are coprime, d = 1, s3 = 0 and this is the CRT.
+
+    The oracle's ladder adds one point at a time by
+    ``hyperelliptic._add_point`` instead; the tests compare the two."""
+    d, s1 = poly_xgcd(u2, u1, p)
+    s3: list[int] = []
+    if len(d) > 1:  # the supports meet
+        d1, total = d, poly_axpy(v1, v2, 1, p)
+        d, s3 = poly_xgcd(d1, total, p)
+        s1 = poly_mul(divmod_residues(poly_axpy(d, poly_mul(s3, total, p), -1, p), d1, p)[0], s1, p)
+    w = poly_axpy(poly_mul(poly_mul(s1, u1, p), poly_axpy(v2, v1, -1, p), p),
+                  poly_mul(s3, poly_axpy(f, poly_mul(v1, v1, p), -1, p), p), 1, p)
+    u = poly_mul(u1, u2, p)
+    if len(d) > 1:
+        u = divmod_residues(u, poly_mul(d, d, p), p)[0]
+        w = divmod_residues(w, d, p)[0]
+    return u, divmod_residues(poly_axpy(v1, w, 1, p), u, p)[1]
+
+
+def addition_case(u, v, x0, y0, p):
+    """Which case of ``hyperelliptic._add_point`` adds (x0, y0) to the
+    reduced pair (u, v): "crt", "hensel", "cancel", or "cancel at y0 = 0"
+    at a ramification point."""
+    if poly_eval(u, x0, p):
+        return "crt"
+    if (poly_eval(v, x0, p) + y0) % p:
+        return "hensel"
+    return "cancel at y0 = 0" if y0 == 0 else "cancel"

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import time
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from pathlib import Path
@@ -14,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pushfwd import cli
+import pushfwd.hyperelliptic as hyperelliptic
+from pushfwd import cli, curve_from_string, divisor_from_string
 from pushfwd.campaigns import CAMPAIGNS, CampaignReport
+from reference_oracle import addition_case
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -78,6 +81,8 @@ def test_bounds_subcommand():
 # (name, curve, divisor, m): hyper push outputs kept byte for byte in
 # tests/golden/hyper_push/<name>.<format>.
 GENUS2 = "p=5; f=0,1,0,0,0,1"
+GENUS3 = "p=7; f=1,2,0,0,1,0,0,1"
+GENUS3_DOUBLING = "inf:2; pt:0,1:40; pt:2,4:54; pt:3,0:57"
 HYPER_PUSH_CASES = (
     ("weierstrass", GENUS2, "inf:1; pt:0,0:7", 1),
     ("split-41", GENUS2, "inf:-3; pt:2,2:41; pt:3,1:-2", 3),
@@ -85,7 +90,7 @@ HYPER_PUSH_CASES = (
     ("far-below-m3", GENUS2, "inf:-30000", 3),
     ("m50", GENUS2, "inf:4; pt:2,2:3; pt:0,0:-1", 50),
     ("conjugates", GENUS2, "pt:2,2:3; pt:2,3:-5", 1),
-    ("genus3", "p=7; f=1,2,0,0,1,0,0,1", "inf:2; pt:3,0:3; pt:2,3:-2; pt:5,5:4", 3),
+    ("genus3", GENUS3, "inf:2; pt:3,0:3; pt:2,3:-2; pt:5,5:4", 3),
     ("genus1-m50", "p=7; f=1,1,0,1", "inf:3; pt:2,2:-1", 50),
     # The doubling route's straight-line genus-2 steps at p = 2^31 - 1.
     ("mersenne31", "p=2147483647; f=1,1,0,0,0,1", "pt:0,1:1000000000; pt:2,1708044750:80", 3),
@@ -100,6 +105,10 @@ HYPER_PUSH_CASES = (
     ("genus30-mersenne31", "p=2147483647; f=1,3,0,0,0,0,0,5" + ",0" * 53 + ",1",
      "inf:-4; pt:2,1929775706:12; pt:3,1589367372:-9; pt:4,1529151900:7; "
      "pt:6,494380596:-5; pt:8,448903709:3; pt:9,1063271958:2", 3),
+    # The doubling route at genus 3 over F_7: n = 95 > B(3, 3) = 91 nodes
+    # at three x-values, one a ramification zero, whose ladder adds points
+    # by every case of _add_point (test_genus3_doubling_case_adds_by_every_case).
+    ("genus3-doubling", GENUS3, GENUS3_DOUBLING, 3),
 )
 FORMATS = {"text": "txt", "json": "json", "csv": "csv"}
 
@@ -114,6 +123,26 @@ def test_hyper_push_matches_golden_files(name, curve, divisor, m, fmt, tmp_path)
     assert code == 0
     golden = GOLDEN / "hyper_push" / f"{name}.{FORMATS[fmt]}"
     assert target.read_bytes() == golden.read_bytes()
+
+
+def test_genus3_doubling_case_adds_by_every_case(monkeypatch):
+    # The ladder of the genus3-doubling golden case adds a point outside
+    # the support (the CRT), at a point of it (a Hensel step), and at the
+    # conjugate of one, a ramification point among them (a cancel).
+    cases = Counter()
+    add_point = hyperelliptic._add_point
+
+    def logged(u, v, x0, y0, f, genus, p):
+        cases[addition_case(u, v, x0, y0, p)] += 1
+        return add_point(u, v, x0, y0, f, genus, p)
+
+    monkeypatch.setattr(hyperelliptic, "_add_point", logged)
+    divisor = divisor_from_string(curve_from_string(GENUS3), GENUS3_DOUBLING)
+    _, sites = hyperelliptic._conditions(divisor)
+    assert len(sites) == 3
+    assert sum(d for _, _, d in sites) > hyperelliptic._doubling_bound(3, 3)
+    hyperelliptic._pole_orders(divisor)
+    assert cases == Counter({"crt": 2, "hensel": 2, "cancel": 1, "cancel at y0 = 0": 1})
 
 
 def test_hyper_push_text_output():

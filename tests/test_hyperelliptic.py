@@ -477,6 +477,23 @@ def test_genus2_doublings_of_a_degree_2_u_are_straight_line(monkeypatch):
     assert [len(u) - 1 for u, *_ in calls["_cantor_double"]] == [1]
 
 
+def test_a_ladder_of_simple_points_takes_no_extended_gcd(monkeypatch):
+    # Sites of one node each are only added, never doubled, and adding a
+    # point is two evaluations and one lift: the doubling route of 40
+    # simple points on a genus-3 curve calls no extended gcd, and gives
+    # the Newton route's orders.
+    curve = curve_from_string("p=10007; f=3,1,4,1,5,9,2,1")
+    points = [pt for pt in curve.affine_points()[::2] if pt.y][:40]
+    divisor = Divisor(curve, 0, {pt: 1 for pt in points})
+    newton = hyperelliptic._pole_orders(divisor)
+    calls = counted(monkeypatch, "poly_xgcd", "_double", "_add_point")
+    monkeypatch.setattr(hyperelliptic, "_doubling_bound", lambda genus, sites: 0)
+    cap, orders = hyperelliptic._pole_orders(divisor)
+    assert (cap, sorted(orders)) == (newton[0], sorted(newton[1]))
+    assert len(calls["_add_point"]) == 39
+    assert calls["poly_xgcd"] == calls["_double"] == []
+
+
 def test_interpolant_gets_the_sites_in_ascending_d(monkeypatch):
     # Each node updates every later site, so the Newton route hands the
     # interpolant its sites by ascending d, the largest last; a stable

@@ -35,7 +35,9 @@ from pushfwd import (
 from pushfwd.campaigns import sample_curve, sample_divisor
 from pushfwd.expansions import poly_gcd, poly_is_squarefree, split_point_series
 from reference_oracle import (
+    addition_case,
     reference_basis_pole_orders,
+    reference_compose,
     reference_h0_sequence,
     reference_newton_interpolant,
     reference_rr_space_dims,
@@ -584,15 +586,15 @@ def small_divisors(draw):
 def test_orders_depend_only_on_the_reduced_degree(divisor):
     # The Newton route's orders of E = div(U0, V) are n + n' and
     # n - n' + 2g + 1, n' the degree of the reduced representative of
-    # E - n * infinity, which Cantor's reduction of the sites' pairs from
-    # their local series gives here.
+    # E - n * infinity, which Cantor's composition and reduction of the
+    # sites' pairs from their local series give here.
     curve = divisor.curve
     f, p, g = list(curve.coeffs), curve.prime, curve.genus
     _, sites = hyperelliptic._conditions(divisor)
     u, v = [1], []
     for pair in [_series_pair(curve, x0, y0, d) if y0 else ([-x0 % p, 1], [])
                  for x0, y0, d in sites]:
-        u, v = hyperelliptic._compose(u, v, *pair, f, p)
+        u, v = reference_compose(u, v, *pair, f, p)
     n, reduced = len(u) - 1, len(hyperelliptic._reduce(u, v, f, g, p)[0]) - 1
     assert n == sum(d for _, _, d in sites)
     assert route_orders(divisor, NEWTON_ONLY)[1] == \
@@ -603,9 +605,11 @@ def test_orders_depend_only_on_the_reduced_degree(divisor):
 @given(divisor=small_divisors(), e=st.integers(1, 80))
 def test_doubling_gives_the_reduced_pair(divisor, e):
     # A class has one reduced pair: the ladder reaches the one that
-    # Cantor's reduction gives for the sum of the pairs of all sites of
-    # the divisor, ramification zeros included, from their local series;
-    # and for the e-node site of a point, also after adding another point.
+    # Cantor's composition and reduction give for the sum of the pairs of
+    # all sites of the divisor, ramification zeros included, from their
+    # local series; and for the e-node site of a point, also after adding
+    # each point Q of the support, P and iota(P) among them, by the
+    # composition and by ``_add_point``.
     curve = divisor.curve
     f, p, g = list(curve.coeffs), curve.prime, curve.genus
     sites = hyperelliptic._conditions(divisor)[1]
@@ -613,7 +617,7 @@ def test_doubling_gives_the_reduced_pair(divisor, e):
         u, v = [1], []
         for x0, y0, d in sites:
             pair = _series_pair(curve, x0, y0, d) if y0 else ([-x0 % p, 1], [])
-            u, v = hyperelliptic._compose(u, v, *pair, f, p)
+            u, v = reference_compose(u, v, *pair, f, p)
         assert hyperelliptic._ladder(sites, f, g, p) == \
             hyperelliptic._reduce(u, v, f, g, p), divisor
     split = [pt for pt, _ in divisor.affine if pt.y]
@@ -625,9 +629,56 @@ def test_doubling_gives_the_reduced_pair(divisor, e):
     assert doubled == hyperelliptic._reduce(*site, f, g, p), (divisor, e)
     for Q, _ in divisor.affine:
         other = ([-Q.x % p, 1], [Q.y] if Q.y else [])
-        assert hyperelliptic._reduce(*hyperelliptic._compose(*doubled, *other, f, p), f, g, p) == \
-            hyperelliptic._reduce(*hyperelliptic._compose(*site, *other, f, p), f, g, p), \
-            (divisor, e, Q)
+        expected = hyperelliptic._reduce(*reference_compose(*site, *other, f, p), f, g, p)
+        assert hyperelliptic._reduce(*reference_compose(*doubled, *other, f, p), f, g, p) == \
+            expected, (divisor, e, Q)
+        assert hyperelliptic._add_point(*doubled, Q.x, Q.y, f, g, p) == expected, (divisor, e, Q)
+
+
+def point_additions():
+    """(f, g, p, (u, v), (x0, y0)): the reduced pairs that ``_ladder`` gives
+    on random curves of genus 1-8 for one to three sites of 1-12 nodes at
+    split points and at times a ramification point, 150 curves at each
+    prime, each with a point to add: a site's point or its conjugate, the
+    ramification point or a random point.  With few nodes the pair keeps
+    the sites in its support, so every case of the addition occurs at
+    every prime."""
+    rng = random.Random(21)
+    for p in PRIMES:
+        made = 0
+        while made < 150:
+            g = rng.randint(1, 8)
+            curve, root = _curve_with_root(rng, p, g)
+            points = _split_points(rng, curve, rng.randint(1, 3))
+            if points is None:
+                continue
+            sites = [(pt.x, pt.y, rng.randint(1, 12 if rng.random() < 0.3 else 3))
+                     for pt in points]
+            if rng.random() < 0.5:
+                sites.append((root, 0, 1))
+            choices = [(x0, y0) for x0, y0, _ in sites] + [(x0, -y0 % p) for x0, y0, _ in sites]
+            choices.append((root, 0))
+            extra = _split_points(rng, curve, 1)
+            if extra:
+                choices.append((extra[0].x, extra[0].y))
+            f = list(curve.coeffs)
+            yield f, g, p, hyperelliptic._ladder(sites, f, g, p), rng.choice(choices)
+            made += 1
+
+
+def test_add_point_matches_cantor_composition():
+    # Adding one point by the three cases gives the reduced pair of
+    # Cantor's general composition with the point's pair (x - x0, y0),
+    # and at every prime each case occurs, the cancel also at a
+    # ramification point.
+    cases = Counter()
+    for f, g, p, (u, v), (x0, y0) in point_additions():
+        cases[p, addition_case(u, v, x0, y0, p)] += 1
+        expected = hyperelliptic._reduce(
+            *reference_compose(u, v, [-x0 % p, 1], [y0] if y0 else [], f, p), f, g, p)
+        assert hyperelliptic._add_point(u, v, x0, y0, f, g, p) == expected, (p, f, u, v, x0, y0)
+    kinds = ("crt", "hensel", "cancel", "cancel at y0 = 0")
+    assert min(cases[p, kind] for p in PRIMES for kind in kinds) >= 5, cases
 
 
 def genus2_reduced_pairs():
