@@ -34,8 +34,9 @@ other loops stay on lists.  The oracle's remainder sequence measured no
 faster packed at the lengths the oracle meets; the square root is
 already C-level dot products; and the helpers ``divmod_residues``,
 ``poly_mul`` and ``poly_axpy`` serve the doubling route's point
-additions and Cantor reductions, and ``poly_xgcd`` its doublings, which
-no benchmark workload yet times.
+additions and Cantor reductions, and ``poly_xgcd`` its doublings off the
+straight-line genus-2 path, such as the first doubling, of a lone point,
+in each ladder of the benchmark's ``sweep`` queries k = 24 and k = 80.
 """
 
 from __future__ import annotations

@@ -50,10 +50,11 @@ Riemann-Roch space dimensions are computed exactly over F_p:
    of the reduced representative of E - n * infinity, E = div(U0, V)
    the zeros asked for: the solution of least pole order vanishes on E
    and on n' more points, and o1 + o2 = 2n + 2g + 1.  So when the n
-   nodes over s x-values are more than B(g, s) (``_doubling_bound``), no
-   series is built: the sum of d (P - infinity) over the sites (P, d)
-   becomes one reduced Mumford pair (u, v) in monomial coordinates by a
-   single left-to-right double-and-add over the bits of every d at once
+   nodes over s x-values are more than B(g, s) (``_doubling_bound``, set
+   at the measured crossover of the two routes' costs), no series is
+   built: the sum of d (P - infinity) over the sites (P, d) becomes one
+   reduced Mumford pair (u, v) in monomial coordinates by a single
+   left-to-right double-and-add over the bits of every d at once
    (Straus's multi-exponentiation, ``_ladder``).  A doubling is the
    Hensel lift u^2, v + (f - v^2) (2 v)^(-1) mod u^2 after the
    Weierstrass points of the support drop out, straight-line at genus 2
@@ -77,14 +78,15 @@ site none at all); and they cost the remainder sequence about
 3 (deg U0 - g)^2 / 8 list work: from deg r_(i-1) = d it reads d - g - 1
 coordinates, for d from n down to (n + g) / 2.  When deg U0 <= g + 1
 none of this is done.  The Newton route runs only when n <= B(g, s) =
-(40 + 11 g) (4 + floor(log2 s)) / 4, so its cost is bounded by the genus
-and the number s of x-values, and no multiplicity makes it longer.  On
-the doubling route the sites share the floor(log2(max d)) doublings,
-and each site adds its point once per set bit of its d; each step works
-on polynomials of degree at most 2g + 1 and costs O(g^2).  At genus 2 a
-doubling of a degree-2 u in general position costs about 40
-multiplications and two inversions in one pass, against about 25 calls
-into the list helpers.  Nothing is eliminated, and numpy is not used.
+14 + 11 g + floor(s / 2), or 14 + floor(s / 2) at genus 2, so its cost is
+bounded by the genus and the number s of x-values, and no multiplicity
+makes it longer.  On the doubling route the sites share the
+floor(log2(max d)) doublings, and each site adds its point once per set
+bit of its d; each step works on polynomials of degree at most 2g + 1
+and costs O(g^2).  At genus 2 a doubling of a degree-2 u in general
+position costs about 40 multiplications and two inversions in one pass,
+against about 25 calls into the list helpers.  Nothing is eliminated,
+and numpy is not used.
 
 The conditions do not depend on the coefficient at infinity, so the two
 pole orders serve dim L(D - k*infinity) for every k (the reduced basis at
@@ -301,7 +303,9 @@ class Divisor:
         merged: dict[CurvePoint, int] = {}
         for pt, mult in raw:
             pt = self.curve.validate_point(pt)
-            merged[pt] = merged.get(pt, 0) + _integer(mult, f"multiplicity of pt:{pt.x},{pt.y}")
+            if type(mult) is not int:  # the field name is built only here
+                mult = _integer(mult, f"multiplicity of pt:{pt.x},{pt.y}")
+            merged[pt] = merged.get(pt, 0) + mult
         object.__setattr__(self, "affine", _sorted_support(merged))
         object.__setattr__(self, "at_infinity", _integer(self.at_infinity, "at_infinity"))
 
@@ -655,34 +659,36 @@ def _conditions(divisor: Divisor):
 
 
 def _doubling_bound(genus: int, sites: int) -> int:
-    """B(g, s) = (40 + 11 g) (4 + floor(log2 s)) / 4: at more than B(g, s)
-    nodes over s x-values, the doubling route costs less than the Newton
-    route.  The Newton route's interpolant and remainder sequence grow
-    with the square of the node count; the doubling route's ladder pays
-    floor(log2(max d)) doublings in all and one addition and reduction
-    per set bit of each site's d, so its crossover rises with s.  The
-    measured crossover n is the first value of a grid from max(s, g + 2)
-    growing by 15% from which s sites of about n / s nodes each took less
-    time by doubling, at every larger value tried up to 1.6 B(g, s)
-    (three random curves over F_10007 per cell, each route the best of
-    five runs); each cell is measured / B(g, s):
+    """B(g, s) = 14 + 11 g + floor(s / 2), and B(2, s) = 14 + floor(s / 2):
+    at more than B(g, s) nodes over s x-values, the doubling route costs
+    less than the Newton route.  The Newton route's interpolant and
+    remainder sequence grow with the square of the node count; the
+    doubling route's ladder pays floor(log2(max d)) doublings in all and
+    one addition per set bit of each site's d, each O(g^2), and at genus
+    2 its doublings are straight-line, so the genus-2 form drops the 11 g.
+
+    The measured crossover n is the first value of a grid from
+    max(s, g + 2), each next value max(n + 1, floor(1.15 n)), up to 1.6
+    times the bound fitted before (40 + 11 g) (4 + floor(log2 s)) / 4, at
+    which s sites of about n / s nodes each took less time by doubling,
+    and from which no larger value took more than 5% longer by doubling
+    than by the Newton route (a tie, such as the costly bit pattern of
+    n = 23 = 10111b at g = 2, s = 1, does not reset it).  A route's time
+    at n is the sum, over three random curves over F_10007, of its best
+    of five runs; each cell is the median over three such draws of
+    curves, as measured / B(g, s):
 
         g     s = 1     s = 4     s = 16    s = 64
-        1     42/51     33/76     55/102    95/127
-        2     34/62     34/93     65/124   114/155
-        4     72/84     63/126    94/168   125/210
-        10   124/150   124/225   124/300   248/375
-        20   209/260   159/390   276/520   496/650
+        1     33/25     23/27     23/33     64/57
+        2     16/14     14/16     23/22     64/46
+        4     72/58     48/60     55/66     64/90
+        10   124/124   142/126   124/132   109/156
+        20   209/234   209/236   276/242   248/266
 
-    The g = 2 row, with the straight-line genus-2 doubling, is the
-    median of five such measurements.  Since the ladder shares its
-    doublings among the sites, B sits above the crossover by 1.3-2.7
-    times for s >= 4 (about 1.2 for s = 1, 1.8 at g = 2).  The table
-    predates ``_add_point``, whose additions cost 2.3-3 times less,
-    so the s >= 4 crossovers are lower still; B is kept, so that no input
-    changes route, until a benchmark on both sides of it shows the gain.
+    A cell of 64 at s = 64 is the grid's first value: there the doubling
+    route took less time at every n >= s tried.
     """
-    return (40 + 11 * genus) * (3 + sites.bit_length()) // 4
+    return 14 + sites // 2 + (0 if genus == 2 else 11 * genus)
 
 
 def _newton_orders(curve: HyperellipticCurve, sites) -> tuple[int, int]:

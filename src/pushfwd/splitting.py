@@ -33,7 +33,10 @@ MAX_WALK_STEPS = 10_000
 
 
 def _integer(value, field: str) -> int:
-    """``operator.index(value)``, or a ValueError naming the field."""
+    """``operator.index(value)``, or a ValueError naming the field.  An
+    exact ``int`` is returned as it is, before the call."""
+    if type(value) is int:
+        return value
     try:
         return operator.index(value)
     except TypeError:

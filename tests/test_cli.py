@@ -105,7 +105,7 @@ HYPER_PUSH_CASES = (
     ("genus30-mersenne31", "p=2147483647; f=1,3,0,0,0,0,0,5" + ",0" * 53 + ",1",
      "inf:-4; pt:2,1929775706:12; pt:3,1589367372:-9; pt:4,1529151900:7; "
      "pt:6,494380596:-5; pt:8,448903709:3; pt:9,1063271958:2", 3),
-    # The doubling route at genus 3 over F_7: n = 95 > B(3, 3) = 91 nodes
+    # The doubling route at genus 3 over F_7: n = 95 > B(3, 3) = 48 nodes
     # at three x-values, one a ramification zero, whose ladder adds points
     # by every case of _add_point (test_genus3_doubling_case_adds_by_every_case).
     ("genus3-doubling", GENUS3, GENUS3_DOUBLING, 3),
@@ -143,6 +143,26 @@ def test_genus3_doubling_case_adds_by_every_case(monkeypatch):
     assert sum(d for _, _, d in sites) > hyperelliptic._doubling_bound(3, 3)
     hyperelliptic._pole_orders(divisor)
     assert cases == Counter({"crt": 2, "hensel": 2, "cancel": 1, "cancel at y0 = 0": 1})
+
+
+def test_split_41_case_takes_the_doubling_route(monkeypatch, tmp_path):
+    # n = 43 nodes over two x-values at genus 2 is above B(2, 2): the
+    # split-41 golden case goes through the ladder, with the same files.
+    name, curve, divisor, m = next(case for case in HYPER_PUSH_CASES if case[0] == "split-41")
+    _, sites = hyperelliptic._conditions(divisor_from_string(curve_from_string(curve), divisor))
+    assert (len(sites), sum(d for _, _, d in sites)) == (2, 43)
+    calls = Counter()
+    for route in ("_ladder", "_newton_interpolant"):
+        original = getattr(hyperelliptic, route)
+        monkeypatch.setattr(hyperelliptic, route,
+                            lambda *args, _route=route, _original=original:
+                            calls.update([_route]) or _original(*args))
+    for fmt, suffix in FORMATS.items():
+        target = tmp_path / f"push.{suffix}"
+        assert cli.main(["hyper", "push", "--curve", curve, "--divisor", divisor,
+                         "--m", str(m), "--format", fmt, "--out", str(target)]) == 0
+        assert target.read_bytes() == (GOLDEN / "hyper_push" / f"{name}.{suffix}").read_bytes()
+    assert calls == Counter({"_ladder": len(FORMATS)}), calls
 
 
 def test_hyper_push_text_output():

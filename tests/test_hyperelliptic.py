@@ -357,9 +357,9 @@ def test_pushforward_genus_10_multiplicity_budget():
 
 def test_pushforward_many_sites_budget():
     # Budget: 50 ms for 30 points of multiplicity 60 on a genus-2 curve:
-    # 1800 nodes over 30 x-values pass B(2, 30) = 124, though no site
-    # passes B(2, 1) = 62, so each point is doubled rather than the
-    # 1800-node interpolant and remainder sequence built.
+    # 1800 nodes over 30 x-values pass B(2, 30) = 29, so each point is
+    # doubled rather than the 1800-node interpolant and remainder
+    # sequence built.
     rng = random.Random(30)
     curve = sample_curve(rng, 2, 10007)
     points = {}
@@ -475,6 +475,25 @@ def test_genus2_doublings_of_a_degree_2_u_are_straight_line(monkeypatch):
     assert image == SplittingType([39, 38])
     assert [len(u) - 1 for u, *_ in calls["_double"]] == [1, 2, 2, 2, 2, 2]
     assert [len(u) - 1 for u, *_ in calls["_cantor_double"]] == [1]
+
+
+def test_genus2_routes_split_between_12_and_24_nodes(monkeypatch):
+    # At genus 2 the doubling route is the cheaper one from about 16 nodes
+    # at one site (``_doubling_bound``'s table): one site of d = 24 goes
+    # through the ladder and one of d = 12 through the interpolant, each
+    # with the other route's answer.
+    curve = curve_from_string("p=10007; f=1,1,0,0,0,1")
+    P = curve.point(0, 1)
+    for d, route, other, forced in ((24, "_ladder", "_newton_interpolant", 24),
+                                    (12, "_newton_interpolant", "_ladder", 0)):
+        divisor = Divisor(curve, 0, {P: d})
+        with monkeypatch.context() as patched:  # the other route, by its bound
+            patched.setattr(hyperelliptic, "_doubling_bound", lambda genus, sites: forced)
+            expected = pushforward(divisor, ComposedMap(1))
+        with monkeypatch.context() as patched:
+            calls = counted(patched, route, other)
+            assert pushforward(divisor, ComposedMap(1)) == expected
+        assert (len(calls[route]), len(calls[other])) == (1, 0), d
 
 
 def test_a_ladder_of_simple_points_takes_no_extended_gcd(monkeypatch):
