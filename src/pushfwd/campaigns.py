@@ -35,6 +35,7 @@ from .hyperelliptic import (
 )
 from .splitting import (
     MAX_LISTED_SUMMANDS,
+    _integer,
     serre_dual,
     splitting_from_h0_sequence,
     splitting_text,
@@ -258,6 +259,8 @@ def run_campaign(name: str, seed: int, trials: int,
         raise ValueError(
             f"unknown campaign {name!r}; choose from {', '.join(sorted(CAMPAIGNS))}"
         ) from None
+    trials, max_genus, max_m = (_integer(trials, "trials"), _integer(max_genus, "max_genus"),
+                                _integer(max_m, "max_m"))
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if max_genus < 1:

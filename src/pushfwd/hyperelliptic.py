@@ -106,14 +106,15 @@ arithmetic per order.  ``h0_sequence`` keeps the paper's route, the
 window of dimensions that the campaigns extract from, each read off the
 same orders, with the walk starting at floor((d - g) / n).
 ``rr_space_dim`` reads dim L(D) off the same orders, and does not
-compute them when cap' < 0.  Nothing is memoized across calls.
+compute them when cap' < 0.  Nothing here is cached or keyed by p or by
+a point; the only caches are the binomial columns and ``Slots`` layouts
+of ``expansions``, at most 128 each, sized by genus and bit length of p.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from operator import itemgetter, mul
 
 from .errors import (
@@ -144,6 +145,8 @@ from .splitting import (
 
 # Field moduli stay below 2**31, where ``_is_prime`` is exact.
 MAX_PRIME = 2**31
+
+MAX_ENUMERATED_PRIME = 2**16  # the largest p whose points affine_coordinates lists
 
 # e2ebench/layers.py wraps these three names, so they must exist; nothing
 # calls them.  They go when the benchmark reads a stats object instead of
@@ -176,20 +179,10 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=8)
-def _square_roots(p: int) -> dict[int, tuple[int, ...]]:
-    """Each square mod the odd prime p with its square roots, ascending.
-    Callers only read it."""
-    roots = {0: (0,)}
-    for y in range(1, (p + 1) // 2):
-        roots[y * y % p] = (y, p - y)
-    return roots
-
-
 class HyperellipticCurve:
     """y^2 = f(x) over F_p, f monic squarefree of odd degree 2g + 1 >= 3."""
 
-    __slots__ = ("prime", "coeffs", "genus", "_on_curve")
+    __slots__ = ("prime", "coeffs", "genus")
 
     def __init__(self, prime: int, coeffs: Iterable[int]):
         prime = _integer(prime, "prime")
@@ -212,7 +205,6 @@ class HyperellipticCurve:
         self.prime = prime
         self.coeffs = cs
         self.genus = (len(cs) - 2) // 2
-        self._on_curve: set[tuple[int, int]] = set()  # (x, y) that point() checked
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HyperellipticCurve):
@@ -230,32 +222,29 @@ class HyperellipticCurve:
         return poly_eval(self.coeffs, x % self.prime, self.prime)
 
     def point(self, x: int, y: int) -> "CurvePoint":
-        """The affine point (x, y); raises if it does not lie on the curve."""
+        """The affine point (x, y), reduced mod p, that records this curve
+        as the one that checked it; raises if it is not on the curve."""
         p = self.prime
         x, y = _integer(x, "x-coordinate") % p, _integer(y, "y-coordinate") % p
         if (y * y) % p != self.rhs(x):
             raise PointNotOnCurve(
                 f"({x}, {y}) does not satisfy y^2 = f(x) over F_{p}"
             )
-        self._on_curve.add((x, y))
-        return CurvePoint(x, y)
-
-    def validate_point(self, pt: "CurvePoint") -> "CurvePoint":
-        """pt with its coordinates reduced mod p; raises unless it is a
-        point of the curve.  f is not evaluated again at a point that
-        ``point`` has checked, whose coordinates are already reduced
-        integers (a float equal to one is not)."""
-        if (pt.x, pt.y) in self._on_curve and type(pt.x) is type(pt.y) is int:
-            return pt
-        return self.point(pt.x, pt.y)
+        pt = CurvePoint(x, y)
+        object.__setattr__(pt, "_curve", self)
+        return pt
 
     def affine_coordinates(self) -> list[tuple[int, int]]:
-        """(x, y) of every F_p-rational affine point, by x and then y."""
+        """(x, y) of every F_p-rational affine point, by x and then y, from
+        a list of p values; p above MAX_ENUMERATED_PRIME = 2**16 raises."""
         p = self.prime
+        if p > MAX_ENUMERATED_PRIME:
+            raise ValueError(f"listing points needs p <= {MAX_ENUMERATED_PRIME}, got {p}")
         values = [0] * p  # f(x) for x = 0, ..., p - 1, by Horner's rule
         for c in reversed(self.coeffs):
             values = [(v * x + c) % p for x, v in enumerate(values)]
-        roots = _square_roots(p)
+        roots = {y * y % p: (y, p - y) for y in range(1, (p + 1) // 2)}
+        roots[0] = (0,)
         return [(x, y) for x, v in enumerate(values) for y in roots.get(v, ())]
 
     def affine_points(self) -> list["CurvePoint"]:
@@ -269,10 +258,13 @@ class HyperellipticCurve:
 @dataclass(frozen=True)
 class CurvePoint:
     """An affine point (x, y) of the curve.  The point at infinity is
-    never a CurvePoint: a divisor holds its coefficient as ``at_infinity``."""
+    never a CurvePoint: a divisor holds its coefficient as ``at_infinity``.
+    ``_curve``, outside equality, hash and repr, is the curve that checked
+    it (``HyperellipticCurve.point``), which a divisor does not repeat."""
 
     x: int
     y: int
+    _curve: HyperellipticCurve | None = field(default=None, init=False, compare=False, repr=False)
 
     def is_weierstrass(self) -> bool:
         return self.y == 0
@@ -290,8 +282,8 @@ class Divisor:
 
     The affine part is stored canonically as ((point, multiplicity), ...)
     sorted by coordinates; zero multiplicities are dropped and support
-    points are validated against the curve and keyed by their coordinates
-    mod p.
+    points are keyed by their coordinates mod p.  A support point is
+    checked against the curve unless this curve object checked it.
     """
 
     curve: HyperellipticCurve
@@ -302,7 +294,10 @@ class Divisor:
         raw = self.affine.items() if isinstance(self.affine, Mapping) else self.affine
         merged: dict[CurvePoint, int] = {}
         for pt, mult in raw:
-            pt = self.curve.validate_point(pt)
+            if not isinstance(pt, CurvePoint):
+                raise ValueError(f"support key {pt!r} must be a CurvePoint")
+            if pt._curve is not self.curve:
+                pt = self.curve.point(pt.x, pt.y)
             if type(mult) is not int:  # the field name is built only here
                 mult = _integer(mult, f"multiplicity of pt:{pt.x},{pt.y}")
             merged[pt] = merged.get(pt, 0) + mult

@@ -73,3 +73,19 @@ def test_passing_instances_record_no_window(monkeypatch):
     for campaign in ("genus1", "duality", "stabilization", "composition"):
         report = campaigns.run_campaign(campaign, 5, 12, max_genus=2, max_m=3)
         assert report.failed == 0 and report.failures == []
+
+
+NON_INTEGER_FIELDS = (("trials", 2.5), ("trials", "3"), ("max_genus", 2.5),
+                      ("max_genus", "2"), ("max_m", 2.5), ("max_m", "3"))
+
+
+@pytest.mark.parametrize("name, value", NON_INTEGER_FIELDS,
+                         ids=[f"{name}={value!r}" for name, value in NON_INTEGER_FIELDS])
+def test_non_integer_campaign_sizes_are_rejected_before_any_instance(name, value, monkeypatch):
+    def unreachable(rng, max_genus, max_m):
+        raise AssertionError("an instance ran")
+
+    monkeypatch.setitem(campaigns.CAMPAIGNS, "duality", unreachable)
+    sizes = {"trials": 3, "max_genus": 2, "max_m": 2, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        campaigns.run_campaign("duality", 5, **sizes)

@@ -80,6 +80,60 @@ def test_divisor_evaluates_f_once_per_point(monkeypatch):
         Divisor(curve, 0, {CurvePoint(x, y + 1): 1})
 
 
+def test_a_point_records_the_curve_that_checked_it(monkeypatch, elliptic_curve):
+    # A divisor does not evaluate f again at a point that its own curve
+    # object checked.  It checks every other point as before: a plain
+    # CurvePoint, one checked by an equal but distinct curve object, one
+    # off the curve and one with float coordinates.  The record takes no
+    # part in equality, hashing or repr.
+    curve, twin = curve_from_string("p=5; f=0,1,0,0,0,1"), curve_from_string("p=5; f=0,1,0,0,0,1")
+    checked, plain, from_twin = curve.point(2, 2), CurvePoint(2, 2), twin.point(2, 2)
+    assert twin == curve and twin is not curve
+    for pt in (plain, from_twin):
+        assert pt == checked and hash(pt) == hash(checked)
+        assert repr(pt) == repr(checked) == "CurvePoint(x=2, y=2)"
+    foreign = elliptic_curve.point(0, 1)
+    calls = []
+    rhs = HyperellipticCurve.rhs
+    monkeypatch.setattr(HyperellipticCurve, "rhs",
+                        lambda self, x: calls.append(self) or rhs(self, x))
+    divisor = Divisor(curve, 0, {checked: 3})
+    assert calls == []
+    for pt in (plain, from_twin):
+        assert Divisor(curve, 0, {pt: 3}) == divisor
+        assert calls.pop() is curve and calls == []
+    assert Divisor(curve, 0, [(checked, 1), (plain, 2)]) == divisor
+    with pytest.raises(PointNotOnCurve, match=r"^\(2, 1\) does not satisfy y\^2 = f\(x\) over F_5$"):
+        Divisor(curve, 0, {CurvePoint(2, 1): 1})
+    with pytest.raises(PointNotOnCurve, match=r"^\(0, 1\) does not satisfy"):
+        Divisor(curve, 0, {foreign: 1})
+    with pytest.raises(ValueError, match="^x-coordinate must be an integer, got 2.0$"):
+        Divisor(curve, 0, {CurvePoint(2.0, 2): 1})
+    with pytest.raises(ValueError, match="^y-coordinate must be an integer, got 2.0$"):
+        Divisor(curve, 0, {CurvePoint(2, 2.0): 1})
+
+
+def test_a_support_key_must_be_a_curve_point(genus2_curve):
+    with pytest.raises(ValueError, match=r"^support key \(2, 2\) must be a CurvePoint$"):
+        Divisor(genus2_curve, 0, {(2, 2): 3})
+
+
+def test_point_listing_is_bounded():
+    # affine_coordinates holds the p values of f: above the bound it
+    # raises before building them.  The bound covers every prime the tests
+    # list points over, the largest 10007.
+    bound = hyperelliptic.MAX_ENUMERATED_PRIME
+    assert bound >= 10007
+    below = next(n for n in range(bound, 2, -1) if hyperelliptic._is_prime(n))
+    above = next(n for n in range(bound + 1, 2 * bound) if hyperelliptic._is_prime(n))
+    points = HyperellipticCurve(below, [1, 1, 0, 1]).affine_points()
+    assert abs(len(points) - below) <= 2 * (math.isqrt(below) + 1)  # Hasse: N = #points + 1
+    curve = HyperellipticCurve(above, [1, 1, 0, 1])
+    for listing in (curve.affine_coordinates, curve.affine_points):
+        with pytest.raises(ValueError, match=f"^listing points needs p <= {bound}, got {above}$"):
+            listing()
+
+
 def test_divisor_canonicalization(genus2_curve):
     p1 = genus2_curve.point(2, 2)
     p2 = genus2_curve.point(2, 3)

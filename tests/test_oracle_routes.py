@@ -717,7 +717,8 @@ def test_genus2_doubling_matches_cantor_doubling():
             kinds["r = 0" if len(poly_gcd(u, v, p)) > 1 else "k1 = 0"] += 1
         assert hyperelliptic._double(u, v, f, 2, p) == \
             hyperelliptic._cantor_double(u, v, f, 2, p), (p, f, u, v)
-    assert kinds["straight-line"] >= 400 and kinds["r = 0"] and kinds["deg u = 1"], kinds
+    assert kinds["straight-line"] >= 400 and kinds["r = 0"] and kinds["k1 = 0"] \
+        and kinds["deg u = 1"], kinds
 
 
 @pytest.mark.parametrize("doubled", [False, True], ids=["own-bound", "doubling-everywhere"])
