@@ -35,8 +35,11 @@ faster packed at the lengths the oracle meets; the square root is
 already C-level dot products; and the helpers ``divmod_residues``,
 ``poly_mul`` and ``poly_axpy`` serve the doubling route's point
 additions and Cantor reductions, and ``poly_xgcd`` its doublings off the
-straight-line genus-2 path, such as the first doubling, of a lone point,
-in each ladder of the benchmark's ``sweep`` queries k = 24 and k = 80.
+straight-line genus-2 path.  At g >= 2 a lone point's doubling takes no
+gcd: it is the tangent U = (x - x0)^2, V = y0 + f'(x0) / (2 y0) (x - x0),
+exact as V^2 = f mod U and reduced as deg U = 2 <= g, so the ladders of
+the benchmark's genus-2 ``sweep`` queries call it only where a
+straight-line doubling degenerates.
 """
 
 from __future__ import annotations

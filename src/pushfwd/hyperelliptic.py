@@ -59,6 +59,11 @@ Riemann-Roch space dimensions are computed exactly over F_p:
    Hensel lift u^2, v + (f - v^2) (2 v)^(-1) mod u^2 after the
    Weierstrass points of the support drop out, straight-line at genus 2
    with deg u = 2 unless that degenerates (T. Lange, AAECC 15 (2005)).
+   A lone point P = (x0, y0), y0 != 0, doubles along its tangent at any
+   genus g >= 2, with no gcd: U = (x - x0)^2, V = y0 + l (x - x0) with
+   l = f'(x0) / (2 y0), exact since V(x0) = y0 and V'(x0) = l give
+   V^2 = f mod U, and reduced since deg U = 2 <= g.  It is the first
+   doubling of every ladder whose largest d belongs to one site.
    Adding a point P = (x0, y0) takes no gcd (Lange's mixed addition, for
    any genus): u (x - x0) by the CRT off the support or by a Hensel step
    on it, and u / (x - x0) when iota(P) is on it.  Cantor's reduction
@@ -83,10 +88,11 @@ bounded by the genus and the number s of x-values, and no multiplicity
 makes it longer.  On the doubling route the sites share the
 floor(log2(max d)) doublings, and each site adds its point once per set
 bit of its d; each step works on polynomials of degree at most 2g + 1
-and costs O(g^2).  At genus 2 a doubling of a degree-2 u in general
-position costs about 40 multiplications and two inversions in one pass,
-against about 25 calls into the list helpers.  Nothing is eliminated,
-and numpy is not used.
+and costs O(g^2).  A lone point's doubling costs one pass over f, for
+f'(x0), and one inversion.  At genus 2 a doubling of a degree-2 u in
+general position costs about 40 multiplications and two inversions in
+one pass, against about 25 calls into the list helpers.  Nothing is
+eliminated, and numpy is not used.
 
 The conditions do not depend on the coefficient at infinity, so the two
 pole orders serve dim L(D - k*infinity) for every k (the reduced basis at
@@ -128,6 +134,7 @@ from .expansions import (
     Slots,
     divmod_residues,
     poly_axpy,
+    poly_derivative,
     poly_eval,
     poly_is_squarefree,
     poly_mul,
@@ -474,9 +481,21 @@ def _cantor_steps(prev, v, u, genus, p):
 
 
 def _double(u, v, f, genus, p):
-    """The reduced Mumford pair of 2 div(u, v), u monic: by
-    ``_double_genus2`` at genus 2 with deg u = 2 unless it is degenerate
-    there, else by ``_cantor_double``."""
+    """The reduced Mumford pair of 2 div(u, v), u monic: a lone point at
+    genus >= 2 by its tangent, by ``_double_genus2`` at genus 2 with
+    deg u = 2 unless it is degenerate there, else by ``_cantor_double``.
+
+    The tangent: for u = x - x0 and v = [y0], y0 != 0, the pair of 2 P is
+    U = (x - x0)^2 and V = y0 + l (x - x0) with l = f'(x0) / (2 y0).  It is
+    exact, since V(x0) = y0 and V'(x0) = l give V^2 = y0^2 + f'(x0) (x - x0)
+    = f mod U, and reduced, since deg U = 2 <= g.  A Weierstrass point
+    (v = []) doubles to the zero class ([1], []): 2 W ~ 2 infinity."""
+    if len(u) == 2 and genus >= 2:
+        if not v:
+            return [1], []
+        x0, y0 = -u[0] % p, v[0]
+        slope = poly_eval(poly_derivative(f, p), x0, p) * pow(2 * y0, -1, p) % p
+        return [x0 * x0 % p, -2 * x0 % p, 1], [(y0 - slope * x0) % p, slope] if slope else [y0]
     if genus == 2 and len(u) == 3:
         pair = _double_genus2(u, v, f, p)
         if pair:

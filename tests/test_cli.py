@@ -109,6 +109,11 @@ HYPER_PUSH_CASES = (
     # at three x-values, one a ramification zero, whose ladder adds points
     # by every case of _add_point (test_genus3_doubling_case_adds_by_every_case).
     ("genus3-doubling", GENUS3, GENUS3_DOUBLING, 3),
+    # The doubling route above genus 2 with one site: genus 5 at
+    # p = 2^31 - 1, 10^12 nodes at one point, whose ladder first doubles
+    # the lone point along its tangent.
+    ("genus5-one-site", "p=2147483647; f=1,3,0,0,0,0,0,5,0,0,0,1",
+     "inf:-5; pt:0,1:1000000000000", 3),
 )
 FORMATS = {"text": "txt", "json": "json", "csv": "csv"}
 

@@ -520,15 +520,29 @@ def test_pushforward_at_large_map_degree(genus2_curve, monkeypatch, text, m, bud
 
 def test_genus2_doublings_of_a_degree_2_u_are_straight_line(monkeypatch):
     # 80 P, 80 > B(2, 1), takes the doubling route: P is doubled once at
-    # deg u = 1, by Cantor's generic steps, and then five times at
-    # deg u = 2, each by the straight-line branch.
+    # deg u = 1, along its tangent, and then five times at deg u = 2, each
+    # by the straight-line branch, so Cantor's generic steps never run.
     calls = counted(monkeypatch, "_double", "_cantor_double")
     curve = curve_from_string("p=10007; f=3,1,4,1,5,1")
     P = curve.affine_points()[5]
     image = pushforward(Divisor(curve, 0, {P: 80}), ComposedMap(1))
     assert image == SplittingType([39, 38])
     assert [len(u) - 1 for u, *_ in calls["_double"]] == [1, 2, 2, 2, 2, 2]
-    assert [len(u) - 1 for u, *_ in calls["_cantor_double"]] == [1]
+    assert calls["_cantor_double"] == []
+
+
+def test_a_lone_point_doubles_along_its_tangent_above_genus_2(monkeypatch):
+    # 10^12 P at genus 5, far above B(5, 1), takes the doubling route: its
+    # first doubling, of P alone at deg u = 1, is the tangent; the 38
+    # doublings after it, of a larger u, are Cantor's generic steps.
+    calls = counted(monkeypatch, "_double", "_cantor_double")
+    curve = curve_from_string("p=2147483647; f=1,3,0,0,0,0,0,5,0,0,0,1")
+    divisor = divisor_from_string(curve, "inf:-5; pt:0,1:1000000000000")
+    assert pushforward(divisor, ComposedMap(3)) == SplittingType([166666666665] + [166666666664] * 5)
+    doubled = [len(u) - 1 for u, *_ in calls["_double"]]
+    assert len(doubled) == 39 and doubled[0] == 1 and min(doubled[1:]) > 1
+    assert len(calls["_cantor_double"]) == 38
+    assert all(len(u) > 2 for u, *_ in calls["_cantor_double"])
 
 
 def test_genus2_routes_split_between_12_and_24_nodes(monkeypatch):

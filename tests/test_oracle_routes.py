@@ -33,7 +33,13 @@ from pushfwd import (
     splitting_from_h0_sequence,
 )
 from pushfwd.campaigns import sample_curve, sample_divisor
-from pushfwd.expansions import poly_gcd, poly_is_squarefree, split_point_series
+from pushfwd.expansions import (
+    poly_derivative,
+    poly_eval,
+    poly_gcd,
+    poly_is_squarefree,
+    split_point_series,
+)
 from reference_oracle import (
     addition_case,
     reference_basis_pole_orders,
@@ -122,11 +128,21 @@ def _sqrt(v, p):
     return next((y for y in range(1, p) if y * y % p == v), None)
 
 
-def _curve_with_root(rng, p, genus):
-    """A random curve y^2 = f(x) with f(r) = 0, and r."""
+def _curve_with_root(rng, p, genus, flat=None):
+    """A random curve y^2 = f(x) with f(r) = 0, and r; given ``flat`` =
+    (x0, y0), one through (x0, y0) with f'(x0) = 0."""
     while True:
         r = rng.randrange(p)
         h = [rng.randrange(p) for _ in range(2 * genus)] + [1]
+        if flat:
+            x0, y0 = flat
+            if r == x0:
+                continue
+            # f = (x - r) h, so h(x0) = t = y0^2 / (x0 - r) gives f(x0) =
+            # y0^2, and h'(x0) = -t / (x0 - r) gives f'(x0) = 0.
+            t = y0 * y0 * pow(x0 - r, -1, p)
+            h[1] -= t * pow(x0 - r, -1, p) + poly_eval(poly_derivative(h, p), x0, p)
+            h[0] += t - poly_eval(h, x0, p)
         f = [(-r * h[0]) % p] + [(h[k - 1] - r * h[k]) % p for k in range(1, len(h))] + [1]
         if poly_is_squarefree(f, p):
             return HyperellipticCurve(p, f), r
@@ -686,29 +702,37 @@ def test_add_point_matches_cantor_composition():
     assert min(cases[p, kind] for p in PRIMES for kind in kinds) >= 5, cases
 
 
-def genus2_reduced_pairs():
+def reduced_pairs(genus, curves):
     """(f, p, (u, v)): the reduced pairs that ``_ladder`` gives on random
-    genus-2 curves for one or two split points of multiplicity 1-50 and,
-    half of the time or when no split point is found, a ramification
-    point; 200 curves at each prime."""
-    rng = random.Random(2)
-    for p in (3, 5, 7, 10007, 2**31 - 1):
-        for _ in range(200):
-            curve, root = _curve_with_root(rng, p, 2)
+    curves of the genus for one or two split points of multiplicity 1-50
+    and, half of the time or when no split point is found, a ramification
+    point, each followed by the pair of each of those points alone;
+    ``curves`` curves at each prime.  A quarter of the curves are flat at
+    their first split point (f'(x0) = 0), so a lone point's tangent is
+    horizontal there."""
+    rng = random.Random(genus)
+    for p in PRIMES:
+        for _ in range(curves):
+            flat = (rng.randrange(p), rng.randrange(1, p)) if rng.random() < 0.25 else None
+            curve, root = _curve_with_root(rng, p, genus, flat)
             points = _split_points(rng, curve, rng.randint(1, 2)) or []
+            if flat:
+                points = [curve.point(*flat)] + [pt for pt in points if pt.x != flat[0]]
             sites = [(pt.x, pt.y, rng.randint(1, 50)) for pt in points]
             if not sites or rng.random() < 0.5:
                 sites.append((root, 0, 1))
             f = list(curve.coeffs)
-            yield f, p, hyperelliptic._ladder(sites, f, 2, p)
+            yield f, p, hyperelliptic._ladder(sites, f, genus, p)
+            for x0, y0, _ in sites:
+                yield f, p, ([-x0 % p, 1], [y0] if y0 else [])
 
 
 def test_genus2_doubling_matches_cantor_doubling():
-    # The straight-line branch gives the pair of Cantor's generic steps;
-    # u and v with a common root (r = 0), k1 = 0 and deg u < 2 go to
-    # those steps themselves.
+    # The straight-line branch and a lone point's tangent give the pair of
+    # Cantor's generic steps; u and v with a common root (r = 0) and
+    # k1 = 0 go to those steps themselves.
     kinds = Counter()
-    for f, p, (u, v) in genus2_reduced_pairs():
+    for f, p, (u, v) in reduced_pairs(2, 200):
         if len(u) != 3:
             kinds[f"deg u = {len(u) - 1}"] += 1
         elif hyperelliptic._double_genus2(u, v, f, p):
@@ -719,6 +743,24 @@ def test_genus2_doubling_matches_cantor_doubling():
             hyperelliptic._cantor_double(u, v, f, 2, p), (p, f, u, v)
     assert kinds["straight-line"] >= 400 and kinds["r = 0"] and kinds["k1 = 0"] \
         and kinds["deg u = 1"], kinds
+
+
+@pytest.mark.parametrize("genus", range(2, 7))
+def test_lone_point_doubling_matches_cantor_doubling(genus):
+    # A lone point P, u = x - x0, doubles along its tangent to the pair of
+    # Cantor's generic steps.  At every prime each case occurs: a tangent
+    # of nonzero slope, a flat one (f'(x0) = 0, so V = y0) and a
+    # Weierstrass point (y0 = 0, the zero class).
+    kinds = Counter()
+    for f, p, (u, v) in reduced_pairs(genus, 40):
+        if len(u) != 2:
+            continue
+        slope = poly_eval(poly_derivative(f, p), -u[0] % p, p)
+        kinds[p, "y0 = 0" if not v else "f'(x0) = 0" if not slope else "tangent"] += 1
+        assert hyperelliptic._double(u, v, f, genus, p) == \
+            hyperelliptic._cantor_double(u, v, f, genus, p), (p, f, u, v)
+    assert min(kinds[p, kind] for p in PRIMES for kind in ("tangent", "f'(x0) = 0", "y0 = 0")) \
+        >= 3, kinds
 
 
 @pytest.mark.parametrize("doubled", [False, True], ids=["own-bound", "doubling-everywhere"])
