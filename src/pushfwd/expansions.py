@@ -296,7 +296,8 @@ def taylor_prefix(coeffs, x0: int, prec: int, p: int) -> list[int]:
 
 
 def sqrt_series(poly, y0: int, prec: int, p: int) -> list[int]:
-    """Series y(t) with y(t)^2 = poly(t) and y(0) = y0, nonzero.
+    """Series y(t) with y(t)^2 = poly(t) and y(0) = y0, nonzero, to
+    prec >= 0 terms.
 
     Coefficient recurrence from comparing t^k on both sides: 2 y0 y_k is
     poly_k less one symmetric dot product of the terms found so far.
@@ -304,7 +305,7 @@ def sqrt_series(poly, y0: int, prec: int, p: int) -> list[int]:
     y0 %= p
     if y0 == 0:
         raise ValueError("square-root expansion needs a nonzero constant term")
-    out = [y0] + [0] * (prec - 1)
+    out = [y0] + [0] * (prec - 1) if prec else []
     inv = pow(2 * y0, -1, p)  # p is odd and y0 nonzero
     for k in range(1, prec):
         # sum y_i y_(k-i), 0 < i < k: each pair twice, the middle once.
@@ -318,10 +319,8 @@ def sqrt_series(poly, y0: int, prec: int, p: int) -> list[int]:
 
 
 def split_point_series(curve_poly, x0: int, y0: int, prec: int, p: int) -> tuple[list[int], list[int]]:
-    """(x(t), y(t)) at a point with y0 != 0, local parameter t = x - x0."""
-    x_series = [0] * prec
-    x_series[0] = x0 % p
-    if prec > 1:
-        x_series[1] = 1
+    """(x(t), y(t)) at a point with y0 != 0, local parameter t = x - x0,
+    to prec >= 0 terms."""
+    x_series = [x0 % p, 1][:prec] + [0] * (prec - 2)
     y_series = sqrt_series(taylor_prefix(curve_poly, x0, prec, p), y0, prec, p)
     return x_series, y_series

@@ -6,6 +6,13 @@ y pole order 2g + 1, and the canonical class is (2g - 2) * infinity.  The
 x-coordinate map is a degree-2 cover of the line pulling O(1) back to
 2 * infinity; composing with z -> z^m realizes every even map degree 2m.
 
+A point comes from ``HyperellipticCurve.point``, which checks it, or from
+``affine_points``, which lists only points of the curve; either way it
+records the curve object.  A divisor has one constructor, ``Divisor``,
+which sums, negatives and shifts use too: it checks each support point
+that its curve object did not record, so every support point of every
+divisor carries that divisor's curve.
+
 Riemann-Roch space dimensions are computed exactly over F_p:
 
 1. clear the allowed affine poles of a divisor D with a polynomial d(x)
@@ -237,6 +244,11 @@ class HyperellipticCurve:
             raise PointNotOnCurve(
                 f"({x}, {y}) does not satisfy y^2 = f(x) over F_{p}"
             )
+        return self._stamped(x, y)
+
+    def _stamped(self, x: int, y: int) -> "CurvePoint":
+        """The point (x, y), already reduced and on this curve, recording
+        this curve as the one that checked it."""
         pt = CurvePoint(x, y)
         object.__setattr__(pt, "_curve", self)
         return pt
@@ -255,8 +267,9 @@ class HyperellipticCurve:
         return [(x, y) for x, v in enumerate(values) for y in roots.get(v, ())]
 
     def affine_points(self) -> list["CurvePoint"]:
-        """All F_p-rational affine points, by x and then y."""
-        return [CurvePoint(x, y) for x, y in self.affine_coordinates()]
+        """All F_p-rational affine points, by x and then y, each recording
+        this curve as the one that checked it."""
+        return [self._stamped(x, y) for x, y in self.affine_coordinates()]
 
     def to_string(self) -> str:
         return f"p={self.prime}; f={','.join(str(c) for c in self.coeffs)}"
@@ -277,12 +290,6 @@ class CurvePoint:
         return self.y == 0
 
 
-def _sorted_support(merged: Mapping) -> tuple:
-    """The canonical affine part: nonzero multiplicities sorted by (x, y)."""
-    return tuple(sorted(((pt, m) for pt, m in merged.items() if m != 0),
-                        key=lambda item: (item[0].x, item[0].y)))
-
-
 @dataclass(frozen=True)
 class Divisor:
     """Integer coefficient at infinity plus finitely many affine points.
@@ -290,7 +297,10 @@ class Divisor:
     The affine part is stored canonically as ((point, multiplicity), ...)
     sorted by coordinates; zero multiplicities are dropped and support
     points are keyed by their coordinates mod p.  A support point is
-    checked against the curve unless this curve object checked it.
+    checked against the curve unless this curve object checked it.  This
+    is the only constructor: sums, negatives and shifts are built by it
+    too, so every support point of every divisor records the divisor's
+    own curve object.
     """
 
     curve: HyperellipticCurve
@@ -308,26 +318,17 @@ class Divisor:
             if type(mult) is not int:  # the field name is built only here
                 mult = _integer(mult, f"multiplicity of pt:{pt.x},{pt.y}")
             merged[pt] = merged.get(pt, 0) + mult
-        object.__setattr__(self, "affine", _sorted_support(merged))
+        support = ((pt, m) for pt, m in merged.items() if m != 0)
+        object.__setattr__(self, "affine",
+                           tuple(sorted(support, key=lambda item: (item[0].x, item[0].y))))
         object.__setattr__(self, "at_infinity", _integer(self.at_infinity, "at_infinity"))
 
     @property
     def degree(self) -> int:
         return self.at_infinity + sum(m for _, m in self.affine)
 
-    @classmethod
-    def _canonical(cls, curve: HyperellipticCurve, at_infinity: int, affine: tuple) -> "Divisor":
-        """A divisor from parts already in canonical form, which only
-        another divisor holds: skips validating and sorting the support."""
-        divisor = object.__new__(cls)
-        object.__setattr__(divisor, "curve", curve)
-        object.__setattr__(divisor, "at_infinity", at_infinity)
-        object.__setattr__(divisor, "affine", affine)
-        return divisor
-
     def shift_infinity(self, amount: int) -> "Divisor":
-        return Divisor._canonical(self.curve, self.at_infinity + _integer(amount, "amount"),
-                                  self.affine)
+        return Divisor(self.curve, self.at_infinity + _integer(amount, "amount"), self.affine)
 
     def _require_same_curve(self, other: "Divisor") -> None:
         if self.curve != other.curve:
@@ -337,15 +338,11 @@ class Divisor:
         if not isinstance(other, Divisor):
             return NotImplemented
         self._require_same_curve(other)
-        merged = dict(self.affine)
-        for pt, m in other.affine:
-            merged[pt] = merged.get(pt, 0) + m
-        return Divisor._canonical(self.curve, self.at_infinity + other.at_infinity,
-                                  _sorted_support(merged))
+        return Divisor(self.curve, self.at_infinity + other.at_infinity,
+                       self.affine + other.affine)
 
     def __neg__(self) -> "Divisor":
-        return Divisor._canonical(self.curve, -self.at_infinity,
-                                  tuple((pt, -m) for pt, m in self.affine))
+        return Divisor(self.curve, -self.at_infinity, tuple((pt, -m) for pt, m in self.affine))
 
     def __sub__(self, other: "Divisor") -> "Divisor":
         if not isinstance(other, Divisor):

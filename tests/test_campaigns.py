@@ -89,3 +89,18 @@ def test_non_integer_campaign_sizes_are_rejected_before_any_instance(name, value
     sizes = {"trials": 3, "max_genus": 2, "max_m": 2, name: value}
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
         campaigns.run_campaign("duality", 5, **sizes)
+
+
+def test_run_campaign_names_an_unknown_campaign_and_a_bad_trial_count(monkeypatch):
+    # The CLI's --campaign choices catch an unknown name before run_campaign.
+    with pytest.raises(ValueError, match="^unknown campaign 'nonsense'; choose from composition, "
+                                         "duality, genus0, genus1, riemann-roch, stabilization$"):
+        campaigns.run_campaign("nonsense", 5, 3)
+
+    def unreachable(rng, max_genus, max_m):
+        raise AssertionError("an instance ran")
+
+    monkeypatch.setitem(campaigns.CAMPAIGNS, "duality", unreachable)
+    for trials in (0, -2):
+        with pytest.raises(ValueError, match=f"^trials must be positive, got {trials}$"):
+            campaigns.run_campaign("duality", 5, trials)

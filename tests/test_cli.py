@@ -427,3 +427,16 @@ def test_cli_contract_on_huge_integers(argv, fmt):
         assert code == 2
         assert not out.getvalue()
         assert err.getvalue().startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["extract", "--h0", "1,x", "--lo", "0", "--rank", "1"],
+     "--h0 must be a comma-separated integer list, got '1,x'"),
+    (["bounds", "--g", "5", "--n", "5", "--mode", "degree"],
+     "--mode degree requires --d <bundle degree>"),
+])
+def test_exit_code_two_names_a_malformed_or_missing_option(argv, message, capsys):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"

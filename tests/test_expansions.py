@@ -103,6 +103,11 @@ def _poly_mul(a, b, p):
     return poly_trim(out)
 
 
+def test_division_by_the_zero_polynomial_raises():
+    with pytest.raises(ZeroDivisionError, match="^polynomial division by zero$"):
+        divmod_residues([1, 2, 3], [], 7)
+
+
 @st.composite
 def divisions_mod_p(draw):
     # Coefficients need not be residues, trailing zeros are allowed, and
@@ -250,10 +255,10 @@ def test_sqrt_series_squares_back():
                 y0 = next((y for y in range(p) if y * y % p == y2), 0)
             if y0 == 0 or y0 * y0 % p != y2:
                 continue
-            for prec in (1, 2, 3, 4, 9, 120):
+            for prec in (0, 1, 2, 3, 4, 9, 120):
                 shifted = taylor_prefix(f, x0, prec, p)
                 ys = sqrt_series(shifted, y0, prec, p)
-                assert ys[0] == y0
+                assert len(ys) == prec and ys[:1] == [y0][:prec]
                 assert series_mul(ys, ys, prec, p) == shifted, (p, x0, prec)
 
 
@@ -373,6 +378,8 @@ def test_point_series_match_the_full_shift(p):
     for genus in range(1, 7):
         f, r, split = next(_curves_with_both_sites(rng, p, genus))
         x0, y0 = split[0]
+        # At prec 0 both series are empty, as taylor_prefix is.
+        assert split_point_series(f, x0, y0, 0, p) == ([], [])
         for prec in range(1, 13):
             assert split_point_series(f, x0, y0, prec, p) == _reference_split(f, x0, y0, prec, p)
             assert weierstrass_point_series(f, r, prec, p) == _reference_weierstrass(f, r, prec, p)

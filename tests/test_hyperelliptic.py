@@ -134,7 +134,7 @@ def test_point_listing_is_bounded():
             listing()
 
 
-def test_divisor_canonicalization(genus2_curve):
+def test_divisor_canonicalization(genus2_curve, monkeypatch):
     p1 = genus2_curve.point(2, 2)
     p2 = genus2_curve.point(2, 3)
     d = Divisor(genus2_curve, 1, [(p1, 2), (p2, -1), (p1, -2)])
@@ -147,6 +147,42 @@ def test_divisor_canonicalization(genus2_curve):
     assert d.shift_infinity(3) == Divisor(genus2_curve, 4, {p2: -1})
     assert -d == Divisor(genus2_curve, -1, {p2: 1})
     assert hash(-(-d)) == hash(d)
+
+    # Arithmetic builds its result with the one constructor, so on two
+    # equal but distinct curve objects every support point of a sum,
+    # difference, negative or shift records the result's curve object.
+    curve, twin = genus2_curve, curve_from_string(genus2_curve.to_string())
+    assert twin == curve and twin is not curve
+    d1 = Divisor(curve, 1, {curve.point(2, 2): 2, curve.point(3, 1): -1})
+    d2 = Divisor(twin, -2, {twin.point(3, 1): 1, twin.point(3, 4): 3, twin.point(0, 0): 1})
+
+    def built(on, at_infinity, coords):
+        return Divisor(on, at_infinity, {on.point(x, y): m for (x, y), m in coords.items()})
+
+    for result, expected in (
+        (d1 + d2, built(curve, -1, {(2, 2): 2, (3, 4): 3, (0, 0): 1})),
+        (d1 - d2, built(curve, 3, {(2, 2): 2, (3, 1): -2, (3, 4): -3, (0, 0): -1})),
+        (-d2, built(twin, 2, {(3, 1): -1, (3, 4): -3, (0, 0): -1})),
+        (d2.shift_infinity(3), built(twin, 1, {(3, 1): 1, (3, 4): 3, (0, 0): 1})),
+    ):
+        assert result == expected and result.affine == expected.affine
+        assert result.curve is expected.curve
+        assert all(pt._curve is result.curve for pt, _ in result.affine), result
+
+    # Listed points record their curve: a divisor on them, or one that
+    # sample_divisor draws from them, checks none of them again.
+    calls = []
+    point = HyperellipticCurve.point
+    monkeypatch.setattr(HyperellipticCurve, "point",
+                        lambda self, x, y: calls.append((x, y)) or point(self, x, y))
+    points = curve.affine_points()
+    assert [(pt.x, pt.y) for pt in points] == curve.affine_coordinates()
+    for pt in points:
+        assert pt._curve is curve
+        assert Divisor(curve, 0, {pt: 1}).affine == ((pt, 1),)
+    drawn = sample_divisor(random.Random(0), curve)
+    assert drawn.affine and all(pt._curve is curve for pt, _ in drawn.affine)
+    assert calls == []
 
 
 def test_divisor_keys_points_by_reduced_coordinates(genus2_curve):
@@ -724,6 +760,11 @@ def test_text_round_trip(genus2_curve):
         divisor_from_string(curve, "pole:3")
     with pytest.raises(PointNotOnCurve):
         divisor_from_string(curve, "pt:2,1:1")
+    with pytest.raises(ValueError, match="^unknown curve field 'q'; expected 'p' and 'f'$"):
+        curve_from_string("p=5; q=3; f=0,1,0,0,0,1")
+    with pytest.raises(ValueError, match="^malformed point term 'pt:1,2'; "
+                                         "expected pt:<x>,<y>:<mult>$"):
+        divisor_from_string(curve, "inf:1; pt:1,2")
 
 
 def test_composed_map_contract():

@@ -108,6 +108,15 @@ def test_extraction_error_paths():
         CohSequence(0, (3, 2, 1), 1)
     with pytest.raises(InvalidSequence):
         CohSequence(0, (1, 0, 0), 0)
+    with pytest.raises(ValueError, match="^mode must be 'h0' or 'h1', not 'h2'$"):
+        CohSequence(-1, (3, 1, 0, 0), 2, mode="h2")
+    for values in ((), (0,), (0, 0)):
+        with pytest.raises(InvalidSequence, match="^window must contain at least three values$"):
+            CohSequence(0, values, 1)
+    seq = CohSequence(-1, (3, 1, 0, 0), 2)
+    for degree in (-2, 3):
+        with pytest.raises(IndexError, match=rf"^degree {degree} outside window \[-1, 2\]$"):
+            seq.value_at(degree)
 
 
 def test_h1_route_extraction():
@@ -117,6 +126,8 @@ def test_h1_route_extraction():
         splitting_from_h1_sequence(CohSequence(-1, (3, 1, 0, 0), 2))
     with pytest.raises(InvalidSequence):
         CohSequence(0, (1, 0, 0), 1, mode="h1")
+    with pytest.raises(ValueError, match="^expected an h0-mode sequence$"):
+        splitting_from_h0_sequence(seq)
 
 
 def test_h0_sequence_of_examples():
@@ -146,6 +157,14 @@ def test_window_discovery_gives_up_on_an_endless_walk():
         h0_sequence_from_callable(lambda l: 1, 1)
     with pytest.raises(InvalidSequence, match="no positive values"):
         h0_sequence_from_callable(lambda l: 0, 1)
+    # 1 - l below the top: one summand, then second differences 0 forever.
+    with pytest.raises(RankMismatch, match="^accumulated multiplicity 1 never reached rank 2$"):
+        h0_sequence_from_callable(lambda l: max(0, 1 - l), 2)
+    for rank in (0, -1):
+        with pytest.raises(InvalidSequence, match="^rank hint must be a positive integer$"):
+            h0_sequence_from_callable(lambda l: max(0, -l), rank)
+    with pytest.raises(InvalidSequence, match="^negative dimension -1 reported at degree 0$"):
+        h0_sequence_from_callable(lambda l: -1, 1)
 
 
 def test_window_discovery_from_a_start_inside_the_window():

@@ -178,3 +178,9 @@ def test_defect_consistency_on_oracle_windows():
         # the converted window extracts to the same splitting
         b_seq = h1_sequence_from_h0(seq, ctx)
         assert splitting_from_h1_sequence(b_seq) == pushforward(divisor, cover)
+
+
+def test_context_rank_must_be_positive():
+    for rank in (0, -1):
+        with pytest.raises(ValueError, match=f"^rank must be at least 1, got {rank}$"):
+            CurveMapContext(2, 3, rank)
