@@ -22,6 +22,7 @@ from .genus0 import direct_image_g0, direct_image_g0_bundle, g0_oracle_sequence
 from .genus1 import AtiyahBundleSpec, direct_image_g1
 from .hyperelliptic import (
     ComposedMap,
+    CurvePoint,
     Divisor,
     HyperellipticCurve,
     _pole_orders,
@@ -94,9 +95,10 @@ def sample_divisor(rng: random.Random, curve: HyperellipticCurve) -> Divisor:
     affine points with multiplicities in [-2, 2]."""
     g = curve.genus
     at_inf = rng.randint(-(2 * g + 2), 2 * g + 2)
-    points = curve.affine_points()
-    count = rng.randint(0, min(3, len(points)))
-    affine = {pt: rng.choice((-2, -1, 1, 2)) for pt in rng.sample(points, count)}
+    coords = curve.affine_coordinates()
+    count = rng.randint(0, min(3, len(coords)))
+    chosen = rng.sample(coords, count)
+    affine = {CurvePoint(x, y): rng.choice((-2, -1, 1, 2)) for x, y in chosen}
     return Divisor(curve, at_inf, affine)
 
 

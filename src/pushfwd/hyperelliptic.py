@@ -347,7 +347,9 @@ class Divisor:
     def __sub__(self, other: "Divisor") -> "Divisor":
         if not isinstance(other, Divisor):
             return NotImplemented
-        return self + (-other)
+        self._require_same_curve(other)
+        return Divisor(self.curve, self.at_infinity - other.at_infinity,
+                       self.affine + tuple((pt, -m) for pt, m in other.affine))
 
     def __repr__(self) -> str:
         return f"Divisor({divisor_to_string(self)!r})"

@@ -169,8 +169,9 @@ def test_divisor_canonicalization(genus2_curve, monkeypatch):
         assert result.curve is expected.curve
         assert all(pt._curve is result.curve for pt, _ in result.affine), result
 
-    # Listed points record their curve: a divisor on them, or one that
-    # sample_divisor draws from them, checks none of them again.
+    # Listed points record their curve, so a divisor on them checks none
+    # of them again; sample_divisor draws coordinates, and its divisor
+    # checks each drawn point once.
     calls = []
     point = HyperellipticCurve.point
     monkeypatch.setattr(HyperellipticCurve, "point",
@@ -180,9 +181,10 @@ def test_divisor_canonicalization(genus2_curve, monkeypatch):
     for pt in points:
         assert pt._curve is curve
         assert Divisor(curve, 0, {pt: 1}).affine == ((pt, 1),)
+    assert calls == []
     drawn = sample_divisor(random.Random(0), curve)
     assert drawn.affine and all(pt._curve is curve for pt, _ in drawn.affine)
-    assert calls == []
+    assert sorted(calls) == [(pt.x, pt.y) for pt, _ in drawn.affine]
 
 
 def test_divisor_keys_points_by_reduced_coordinates(genus2_curve):
