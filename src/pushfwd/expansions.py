@@ -23,27 +23,33 @@ prec C-level dot products of at most prec / 2 terms each, O(prec^2)
 multiplications but no interpreted inner loop.
 
 Two long passes of scalar-times-vector updates mod p run on ``Slots``
-instead: ``poly_gcd`` (curve validation's squarefree test) and the
-oracle's Newton interpolant.  A ``Slots`` int holds residues W bits
-apart, W set by a stated bound ``top`` on the largest value a slot may
-reach between reductions, so a whole vector is scaled, shifted or added
-in one C-level big-int operation, and one slot-wise Barrett reduction
-(five more) brings every slot back into [0, 3p) without a borrow
-between slots.  Each caller states its bound and why it holds.  The
-other loops stay on lists.  The oracle's remainder sequence measured no
-faster packed at the lengths the oracle meets; the square root is
-already C-level dot products; and the helpers ``divmod_residues``,
-``poly_mul`` and ``poly_axpy`` serve the doubling route's point
-additions and Cantor reductions, and ``poly_xgcd`` its doublings off the
-straight-line genus-2 path.  At g >= 2 a lone point's doubling takes no
-gcd: it is the tangent U = (x - x0)^2, V = y0 + f'(x0) / (2 y0) (x - x0),
-exact as V^2 = f mod U and reduced as deg U = 2 <= g, so the ladders of
-the benchmark's genus-2 ``sweep`` queries call it only where a
-straight-line doubling degenerates.
+instead: Euclid's loop ``packed_euclid`` and the oracle's Newton
+interpolant.  A ``Slots`` int holds residues W bits apart, W set by a
+stated bound ``top`` on the largest value a slot may reach between
+reductions, so a whole vector is scaled, shifted or added in one
+C-level big-int operation, and one slot-wise Barrett reduction (five
+more) brings every slot back into [0, 3p) without a borrow between
+slots.  Each caller states its bound and why it holds.
+``packed_euclid`` is the one remainder-sequence loop: curve
+validation's squarefree test ``poly_gcd`` runs it to the gcd in the
+monomial basis, and the oracle's half sequence
+(``hyperelliptic._basis_pole_orders``) to a degree-sum bound in a
+Newton basis.  Its steps are fraction-free: they scale by the
+divisor's lead instead of inverting it, which changes each remainder
+by a nonzero constant only.  The other loops stay on lists.  The
+square root is already C-level dot products, and the helpers
+``divmod_residues``, ``poly_mul`` and ``poly_axpy`` serve the doubling
+route's point additions and Cantor reductions, and ``poly_xgcd`` its
+doublings off the straight-line genus-2 path.  At g >= 2 a lone
+point's doubling takes no gcd: it is the tangent U = (x - x0)^2,
+V = y0 + f'(x0) / (2 y0) (x - x0), exact as V^2 = f mod U and reduced
+as deg U = 2 <= g, so the ladders of the benchmark's genus-2 ``sweep``
+queries call it only where a straight-line doubling degenerates.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from math import comb
 from operator import mul
@@ -164,66 +170,165 @@ class Slots:
 @lru_cache(maxsize=128)
 def _cached_slots(p: int, top: int, count: int) -> Slots:
     """``Slots(p, top, count)``, built once per key and shared, for a
-    layout that recurs call after call (``poly_gcd``'s, one per prime and
-    operand length).  At most 128 layouts are kept, each holding a
-    ``low`` mask of count * width bits; at ``poly_gcd``'s top the width is
-    at most 99 bits below p = 2**31, so at count 82 (genus 40) a layout
-    holds about 1 KB."""
+    layout that recurs call after call (``euclid_slots``', one per prime,
+    one run of nodes or more, and operand length).  At most 128 layouts
+    are kept, each holding a ``low`` mask of count * width bits; at
+    ``euclid_slots``' tops the width is at most 101 bits below
+    p = 2**31, so at count 82 (genus 40's f) a layout holds about 1 KB."""
     return Slots(p, top, count)
 
 
-def poly_gcd(a, b, p: int) -> list[int]:
-    """Monic gcd over F_p, by Euclid's algorithm on ``Slots`` ints.  The
-    inputs are packed as residues; each remainder is a packed int
-    whose slots lie in [0, 3p), so a lead is read and reduced mod p when
-    a quotient term needs it.
+def euclid_slots(p: int, runs: int, count: int) -> Slots:
+    """The layout of ``packed_euclid`` over F_p for ``count`` coefficients
+    in a Newton basis of ``runs`` runs of nodes: its ``top`` is
+    3 (p - 1)(3p - 1) on one run and 4 (p - 1)(3p - 1) on more."""
+    return _cached_slots(p, (3 if runs == 1 else 4) * (p - 1) * (3 * p - 1), count)
 
-    Quotient terms are taken from the top two at a time: with q1 and q0
-    read off the leads, the remainder a - (q1 x + q0) b of the usual
-    one-degree drop is A + (p - q1) (B << W) + (p - q0) B, then one
-    ``reduce``, and the cleared top slots, each 0, p or 2p, are masked
-    off together with any zero leads below them.  A slot then holds at
-    most 3p - 1 + 2 p (3p - 1) = (3p - 1)(2p + 1), the ``top`` of the
-    layout: its own value and two products of a residue's complement
-    p - q <= p and a slot of B.
+
+def packed_euclid(slots: Slots, big_a: int, big_b: int, runs=((0, 0),),
+                  stop: int = 0) -> tuple[int, int]:
+    """Euclid's remainder sequence r_0 = A, r_1 = B, r_(i+1) = r_(i-1)
+    mod r_i over F_p, fraction-free, so each r_i is found up to a nonzero
+    scalar.  A and B are packed in ``slots``, the layout
+    ``euclid_slots(p, len(runs), count)`` for some count >= len A, len B,
+    each slot in [0, 3p) (``Slots.pack`` gives residues).  The loop stops
+    at the first r_i that is zero or has len r_i + len r_(i-1) <=
+    ``stop`` (0 runs it to the gcd) and returns r_(i-1), packed, and its
+    length.
+
+    The coefficients are those of the Newton basis N_k = (x - z_0) ...
+    (x - z_(k-1)) given by ``runs``: (start, z) for each run of equal
+    nodes, z_k = z from k = start up to the next run's start, the first
+    run at 0.  One run is the monomial basis in x - z, and (0, 0) the
+    monomial basis.
+
+    A step is a pseudo-division step (D. Knuth, TAOCP vol. 2, 4.6.1).
+    Let b1 be the lead of B = r_i and a1, a2 the top two coefficients of
+    A.  A two-coefficient step is A <- b1^2 A - (q1 y + q0) E, where E
+    is B times a monic polynomial, of degree one below A's, y = x - z for
+    the node z of E's top slot, e2 is E's coefficient below its lead b1,
+    q1 = a1 b1 and q0 = a2 b1 - a1 e2: that clears A's top two
+    coefficients without inverting b1.  With one coefficient above
+    deg B left, A <- b1 A - a1 B clears it, and a zero lead is passed
+    over, so a remainder may drop any number of degrees.  E is B itself
+    at a drop of one degree; a longer drop multiplies B by y once per
+    extra degree and keeps each product.  Every remainder is then a
+    nonzero constant times the usual one, since each step scales A by
+    b1 or b1^2, not 0, and subtracts a multiple of B: a nonzero constant
+    changes no gcd up to a unit and no degree, so the stop test and the
+    degrees read off are those of the monic sequence.
+
+    (x - z) N_k = N_(k+1) + (z_k - z) N_k, so y E is E shifted up one
+    slot plus, for each run below the run of E's top slot, (z_r - z)
+    times E masked to that run's slots; the top run's term is 0.  A step
+    is then a scaling of A, one multiply of E by the two-slot scalar
+    c1 << W | c0 (c1 = -q1, c0 = -q0 mod p) and one scaled, masked copy
+    of E per run below the top one, so on one run it is a single
+    multiply of E, and then one ``Slots.reduce``.
+
+    Slot bounds.  After every reduction a slot of A, B or E lies in
+    [0, 3p), and every scalar is a residue, at most p - 1.  A slot after
+    a two-coefficient step is b1^2 times its slot of A plus c1 times the
+    slot of E below it plus c0 times its own: three products of a residue
+    and a slot, at most 3 (p - 1)(3p - 1), the layout's ``top`` on one
+    run.  On more runs a slot below the top run gains one product more,
+    c1 (z_r - z) times its slot of E, and no slot lies in two runs: at
+    most 4 (p - 1)(3p - 1), the ``top`` on more runs.  A one-coefficient
+    step is two such products, and y E a slot plus one, at most
+    p (3p - 1); both are within either ``top``.
     """
-    slots = _cached_slots(p, (3 * p - 1) * (2 * p + 1), max(len(a), len(b)))
-    width = slots.width
-    big_a, big_b = slots.pack(a), slots.pack(b)
-    la, lb = -(-big_a.bit_length() // width), -(-big_b.bit_length() // width)
+    p, width, mu, shift, low = slots.p, slots.width, slots.mu, slots.shift, slots.low
     slot = (1 << width) - 1
-    while lb:
-        inv = pow(big_b >> width * (lb - 1), -1, p)  # a trimmed lead
-        second = big_b >> width * (lb - 2) & slot if lb > 1 else 0
+    k = len(runs) - 1  # the run of B's top slot
+    starts, zs, masks, below, efixes = (0,), (), (), (), ()
+    if k:
+        starts, zs = zip(*runs)
+        masks = [((1 << width * (end - start)) - 1) << width * start
+                 for start, end in zip(starts, starts[1:])]
+        below = [(mask, (z - zs[k]) % p) for mask, z in zip(masks, zs)]
+    la, lb = -(-big_a.bit_length() // width), -(-big_b.bit_length() // width)
+    a1 = (big_a >> width * (la - 1)) % p if la else 0
+    a2 = big_a >> width * (la - 2) & slot if la > 1 else 0
+    b1 = (big_b >> width * (lb - 1)) % p if lb else 0
+    second = big_b >> width * (lb - 2) & slot if lb > 1 else 0
+    while lb and la + lb > stop:
+        # E is B at a drop of one degree; efixes holds E masked to each run
+        # below its top run, with that run's node less z, and second is E's
+        # slot below its lead.  powers holds E = B, y B, ... once needed.
+        db = lb - 1
+        e = big_b
+        powers = None
+        if k:
+            while starts[k] > db:
+                k -= 1
+                below = [(mask, (z - zs[k]) % p) for mask, z in zip(masks, zs[:k])]
+            efixes = [(big_b & mask, dz) for mask, dz in below]
         top = la - 1
-        while top >= lb - 1:
-            q1 = (big_a >> width * top & slot) * inv % p
-            shifted = top - lb + 1
-            if shifted:  # two quotient terms, q1 x^shifted and q0 x^(shifted - 1)
-                q0 = ((big_a >> width * (top - 1) & slot) - q1 * second) * inv % p
-                big_a += big_b * ((p - q1) << width | p - q0) << width * (shifted - 1)
-                top -= 2
-            else:
-                big_a += (p - q1) * big_b
+        while top >= db:
+            if not a1:
                 top -= 1
-            big_a = slots.reduce(big_a)
-        # Slots lb - 1 and up are 0 mod p now; so may be some below them.
-        top = lb - 2
-        while top >= 0 and not (big_a >> width * top & slot) % p:
-            top -= 1
-        big_a &= (1 << width * (top + 1)) - 1
-        big_a, big_b, la, lb = big_b, big_a, lb, top + 1
-    a = slots.unpack(big_a, la)
+            elif top == db:  # b1 A - a1 B
+                big_a = b1 * big_a + (p - a1) * big_b
+                big_a -= (big_a * mu >> shift & low) * p  # Slots.reduce
+                top -= 1
+            else:  # b1^2 A - (q1 y + q0) E
+                if top > db + 1:  # E = y^(top - db - 1) B; y E is E's next power
+                    if powers is None:
+                        powers = [(e, efixes, second)]
+                    while len(powers) < top - db:
+                        e, efixes, _ = powers[-1]
+                        e <<= width
+                        if efixes:  # else y E is the shift, its slots still below 3p
+                            for part, dz in efixes:
+                                e += dz * part
+                            e -= (e * mu >> shift & low) * p
+                        etop = db + len(powers)
+                        r = bisect_right(starts, etop) - 1
+                        efixes = [(e & mask, (z - zs[r]) % p) for mask, z in zip(masks, zs[:r])] if r else ()
+                        powers.append((e, efixes, e >> width * (etop - 1) & slot))
+                    e, efixes, second = powers[top - db - 1]
+                c1 = p - a1 * b1 % p
+                big_a = b1 * b1 % p * big_a + e * (c1 << width | (a1 * second - a2 * b1) % p)
+                for part, dz in efixes:
+                    big_a += c1 * dz % p * part
+                big_a -= (big_a * mu >> shift & low) * p
+                if powers:
+                    e, efixes, second = powers[0]
+                top -= 2
+            if top >= db:
+                a1 = (big_a >> width * top & slot) % p
+                a2 = big_a >> width * (top - 1) & slot if top else 0
+        # Slots db and up are 0 mod p now, and so may be some below them.
+        length = db
+        while length:
+            lead = (big_a >> width * (length - 1) & slot) % p
+            if lead:
+                break
+            length -= 1
+        else:
+            lead = 0
+        big_a &= (1 << width * length) - 1
+        a1, a2 = b1, second
+        b1, second = lead, big_a >> width * (length - 2) & slot if length > 1 else 0
+        big_a, big_b = big_b, big_a
+        la, lb = lb, length
+    return big_a, la
+
+
+def poly_gcd(a, b, p: int) -> list[int]:
+    """Monic gcd over F_p, by ``packed_euclid`` in the monomial basis."""
+    slots = euclid_slots(p, 1, max(len(a), len(b)))
+    a = slots.unpack(*packed_euclid(slots, slots.pack(a), slots.pack(b)))
     return poly_scale(a, pow(a[-1], -1, p), p) if a else a
 
 
 def poly_xgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     """(d, t): d = s a + t b is the monic gcd of the trimmed lists of
     residues a and b, not both 0, for some s; so t is 1 / b mod a when
-    d = 1.  Euclid's loop with the cofactor of b on lists, kept apart
-    from ``poly_gcd``: curve validation runs that on every new curve,
-    and tracking a cofactor in its list loop tripled its time.  Here the
-    operands are only a doubling's reduced (u, v), of degree at most g."""
+    d = 1.  Euclid's loop with the cofactor of b on lists, apart from
+    ``packed_euclid``, which keeps no cofactor: its operands are only a
+    doubling's reduced (u, v), of degree at most g, and it runs only off
+    the straight-line genus-2 path."""
     t0, t1 = [], [1]
     while b:
         q, r = divmod_residues(a, b, p)

@@ -51,8 +51,11 @@ Riemann-Roch space dimensions are computed exactly over F_p:
    Otherwise the quotients it takes depend only on the coefficients of
    degree > g (see ``_basis_pole_orders``), so it runs on the Newton
    coordinates above the lowest g + 1, where U0 = N_n is a unit vector,
-   V is the interpolant's coordinates and x N_i = N_(i+1) + z_i N_i; a
-   step of quotient degree 1 is one fused pass;
+   V is the interpolant's coordinates and x N_i = N_(i+1) + z_i N_i.  It
+   runs in ``expansions.packed_euclid``, the loop that curve validation's
+   squarefree test runs too, fraction-free: each remainder comes out a
+   nonzero constant times the usual one, which changes no degree, so the
+   stop test and the orders are those of the monic sequence;
 6. those orders are n + n' and n - n' + 2g + 1, where n' is the degree
    of the reduced representative of E - n * infinity, E = div(U0, V)
    the zeros asked for: the solution of least pole order vanishes on E
@@ -87,9 +90,11 @@ out cost the interpolant O(deg U0^2) coefficient work, done as updates
 of a few C-level big-int operations each, one per node and later site:
 the sites go in ascending d, so the largest updates none (and a single
 site none at all); and they cost the remainder sequence about
-3 (deg U0 - g)^2 / 8 list work: from deg r_(i-1) = d it reads d - g - 1
-coordinates, for d from n down to (n + g) / 2.  When deg U0 <= g + 1
-none of this is done.  The Newton route runs only when n <= B(g, s) =
+(n - g) / 2 steps, n = deg U0, one per degree from n down to (n + g) / 2,
+each a few C-level big-int operations on at most n - g packed
+coordinates, plus one masked copy per run of nodes below the divisor's
+top run.  When deg U0 <= g + 1 none of this is done.  The Newton route
+runs only when n <= B(g, s) =
 14 + 11 g + floor(s / 2), or 14 + floor(s / 2) at genus 2, so its cost is
 bounded by the genus and the number s of x-values, and no multiplicity
 makes it longer.  On the doubling route the sites share the
@@ -140,13 +145,14 @@ from .errors import (
 from .expansions import (
     Slots,
     divmod_residues,
+    euclid_slots,
+    packed_euclid,
     poly_axpy,
     poly_derivative,
     poly_eval,
     poly_is_squarefree,
     poly_mul,
     poly_scale,
-    poly_trim,
     poly_xgcd,
     split_point_series,
 )
@@ -599,35 +605,19 @@ def _basis_pole_orders(nodes, v, genus, p):
     2 deg r_i > n + g; when it is not, the next test stops whatever
     r_(i+1) is.  So each test reads deg r_i = deg q_i + g + 1 and stops
     where the full sequence does; one dropped node more breaks this.
+    The steps run in ``packed_euclid`` on the runs of equal nodes above
+    the lowest g + 1, a single run taken as the monomial basis in x - z.
     """
     n, low = len(nodes), genus + 1
-    nodes = nodes[low:]
-    prev, cur = [0] * (n - low) + [1], poly_trim(v[low:])
-    while cur and len(prev) + len(cur) - 2 > n + genus - 2 * low:
-        db = len(cur) - 1
-        inv = pow(cur[-1], -1, p)  # a trimmed lead
-        if len(prev) == len(cur) + 1:
-            # One quotient term per degree: r - c1 (x b) - c0 b in one pass.
-            shifted = [0] + cur
-            c1 = prev[-1] * inv % p
-            c0 = (prev[db] - c1 * (shifted[db] + nodes[db] * cur[db])) * inv % p
-            rem = [(a - c1 * (s + z * b) - c0 * b) % p
-                   for a, s, z, b in zip(prev, shifted, nodes, cur)]
-        else:
-            # A larger degree drop: x^k b for every quotient term, then one
-            # subtraction per term from the top; zip drops each cleared lead.
-            powers = [cur]
-            for _ in range(len(prev) - len(cur)):
-                b = powers[-1]
-                powers.append([(s + z * c) % p for s, z, c in zip([0] + b, nodes, b)] + [b[-1]])
-            rem = prev
-            for k in range(len(powers) - 1, -1, -1):
-                c = rem[db + k] * inv % p
-                rem = [(a - c * b) % p for a, b in zip(rem, powers[k])]
-        while rem and not rem[-1]:
-            rem.pop()
-        prev, cur = cur, rem
-    m = len(prev) - 1 + low
+    above = nodes[low:]
+    runs = ((0, 0),)  # one run is the monomial basis in x - z
+    if above.count(above[0]) < len(above):
+        runs = [(0, above[0])] + [(k, z) for k, (y, z) in enumerate(zip(above, above[1:]), 1)
+                                  if y != z]
+    slots = euclid_slots(p, len(runs), n - low + 1)
+    _, length = packed_euclid(slots, 1 << slots.width * (n - low), slots.pack(v[low:]), runs,
+                              n + genus - 2 * low + 2)
+    m = length - 1 + low
     return 2 * m, 2 * (n - m) + 2 * genus + 1
 
 

@@ -153,8 +153,10 @@ def weierstrass_point_series(curve_poly, x0: int, prec: int, p: int) -> tuple[li
     """(x(t), y(t)) at a ramification point (y0 = 0), local parameter t = y.
 
     x - x0 = u(t^2) where u inverts the shifted curve polynomial, so the
-    x-series is even in t.
+    x-series is even in t.  At prec 0 both series are empty.
     """
+    if not prec:
+        return [], []
     s_terms = (prec - 1) // 2 + 1
     # Terms of degree >= s_terms vanish mod s^s_terms once composed with
     # u(s) = O(s); the inversion reads the linear term, so keep two.

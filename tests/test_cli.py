@@ -105,6 +105,13 @@ HYPER_PUSH_CASES = (
     ("genus30-mersenne31", "p=2147483647; f=1,3,0,0,0,0,0,5" + ",0" * 53 + ",1",
      "inf:-4; pt:2,1929775706:12; pt:3,1589367372:-9; pt:4,1529151900:7; "
      "pt:6,494380596:-5; pt:8,448903709:3; pt:9,1063271958:2", 3),
+    # The Newton route's packed remainder sequence over several runs of
+    # nodes: genus 12 over F_10007, six split x-values of d = 2 to 9,
+    # n = 34 nodes in [g + 2, B(12, 6)], of which the 21 above the lowest
+    # g + 1 lie in three runs.
+    ("genus12-runs", "p=10007; f=1,3,0,0,0,0,0,5" + ",0" * 17 + ",1",
+     "inf:-4; pt:3,6422:9; pt:7,3236:-2; pt:8,2803:7; pt:11,6955:-5; "
+     "pt:12,6782:3; pt:13,9369:-8", 2),
     # The doubling route at genus 3 over F_7: n = 95 > B(3, 3) = 48 nodes
     # at three x-values, one a ramification zero, whose ladder adds points
     # by every case of _add_point (test_genus3_doubling_case_adds_by_every_case).

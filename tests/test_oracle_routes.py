@@ -423,21 +423,31 @@ def test_remainder_sequence_on_top_coordinates_is_exact():
     # Dropping the lowest g + 1 Newton coordinates once, before the first
     # step, gives the whole sequence's orders.  On these instances
     # dropping the lowest g + 2 does not, so an off-by-one in the count
-    # shows.
-    one_too_many = 0
-    for nodes, v, genus, p in remainder_sequences():
-        expected = reference_basis_pole_orders(nodes, v, genus, p)
-        assert hyperelliptic._basis_pole_orders(nodes, v, genus, p) == expected, (nodes, v, genus, p)
-        one_too_many += reference_basis_pole_orders(nodes, v, genus, p, genus + 2) != expected
+    # shows.  The packed loop runs on the nodes above the lowest g + 1;
+    # steps counts its steps whose divisor r_i has a zero lead below it
+    # (the next quotient has degree above 1) and those whose divisor's
+    # coordinates lie over three or more runs of nodes there, where a
+    # step adds two masked copies or more.
+    one_too_many = later_long_quotients = 0
+    steps = Counter()
+    for sampler in (remainder_sequences, wide_remainder_sequences):
+        for nodes, v, genus, p in sampler():
+            quotients = []
+            expected = reference_basis_pole_orders(nodes, v, genus, p, quotients=quotients)
+            assert hyperelliptic._basis_pole_orders(nodes, v, genus, p) == expected, (nodes, v, genus, p)
+            if sampler is remainder_sequences:
+                one_too_many += reference_basis_pole_orders(nodes, v, genus, p, genus + 2) != expected
+            else:
+                later_long_quotients += any(d > 1 for d in quotients[1:])
+            steps["zero lead"] += sum(d > 1 for d in quotients[1:])
+            length = len(nodes) + 1  # of r_i, from the quotient degrees
+            for d in quotients:
+                length -= d
+                above = nodes[genus + 1:length]
+                steps["three runs"] += sum(y != z for y, z in zip(above, above[1:])) >= 2
     assert one_too_many >= 100
-
-    later_long_quotients = 0
-    for nodes, v, genus, p in wide_remainder_sequences():
-        quotients = []
-        expected = reference_basis_pole_orders(nodes, v, genus, p, quotients=quotients)
-        assert hyperelliptic._basis_pole_orders(nodes, v, genus, p) == expected, (nodes, v, genus, p)
-        later_long_quotients += any(d > 1 for d in quotients[1:])
     assert later_long_quotients >= 100
+    assert min(steps["zero lead"], steps["three runs"]) >= 50, steps
 
 
 # ---------------------------------------------------------------- doubling
