@@ -203,66 +203,71 @@ def packed_euclid(slots: Slots, big_a: int, big_b: int, runs=((0, 0),),
     monomial basis.
 
     A step is a pseudo-division step (D. Knuth, TAOCP vol. 2, 4.6.1).
-    Let b1 be the lead of B = r_i and a1, a2 the top two coefficients of
-    A.  A two-coefficient step is A <- b1^2 A - (q1 y + q0) E, where E
-    is B times a monic polynomial, of degree one below A's, y = x - z for
-    the node z of E's top slot, e2 is E's coefficient below its lead b1,
-    q1 = a1 b1 and q0 = a2 b1 - a1 e2: that clears A's top two
-    coefficients without inverting b1.  With one coefficient above
-    deg B left, A <- b1 A - a1 B clears it, and a zero lead is passed
-    over, so a remainder may drop any number of degrees.  E is B itself
-    at a drop of one degree; a longer drop multiplies B by y once per
-    extra degree and keeps each product.  Every remainder is then a
-    nonzero constant times the usual one, since each step scales A by
-    b1 or b1^2, not 0, and subtracts a multiple of B: a nonzero constant
-    changes no gcd up to a unit and no degree, so the stop test and the
-    degrees read off are those of the monic sequence.
+    Let b1, b2 be the top two coefficients of B = r_i, db = deg B, and
+    a1, a2 those of A, a1 in slot top.  A two-coefficient step is
+    A <- b1^2 A - (q1 y + q0) E with E = y^j B, j = top - db - 1, formed
+    in the step that uses it; y = x - z for the node z of E's top slot,
+    q1 = a1 b1 and q0 = a2 b1 - a1 b2: that clears A's top two
+    coefficients without inverting b1, as E's top two are B's (below).
+    With one coefficient above deg B left, A <- b1 A - a1 B clears it,
+    and a zero lead is passed over, so a remainder may drop any number of
+    degrees.  Every remainder is then a nonzero constant times the usual
+    one, since each step scales A by b1 or b1^2, not 0, and subtracts a
+    multiple of B: a nonzero constant changes no gcd up to a unit and no
+    degree, so the stop test and the degrees read off are those of the
+    monic sequence.
 
     (x - z) N_k = N_(k+1) + (z_k - z) N_k, so y E is E shifted up one
     slot plus, for each run below the run of E's top slot, (z_r - z)
-    times E masked to that run's slots; the top run's term is 0.  A step
-    is then a scaling of A, one multiply of E by the two-slot scalar
+    times E masked to that run's slots; the top run's term is 0, so y E
+    has E's top two coefficients, one slot up.  On one run E = y^j B is
+    B shifted up j slots; on more runs it is j products y E, each
+    reduced.  One table gives the masked copies of B and of every E
+    formed: its row r holds the mask of each run below run r and that
+    run's node less z_r.  Rows are built once each, from the top run
+    down as B's top slot walks down the runs, so every row from B's top
+    run up is there, and E's top slot lies at or above B's.  A step is
+    then a scaling of A, one multiply of E by the two-slot scalar
     c1 << W | c0 (c1 = -q1, c0 = -q0 mod p) and one scaled, masked copy
     of E per run below the top one, so on one run it is a single
     multiply of E, and then one ``Slots.reduce``.
 
-    Slot bounds.  After every reduction a slot of A, B or E lies in
-    [0, 3p), and every scalar is a residue, at most p - 1.  A slot after
-    a two-coefficient step is b1^2 times its slot of A plus c1 times the
+    Slot bounds.  After every reduction a slot of A or B lies in [0, 3p),
+    and every scalar is a residue, at most p - 1.  So does a slot of E:
+    on one run it is a slot of B, and on more runs each product y E is a
+    slot plus one product (z_r - z) times a slot, at most p (3p - 1)
+    before its reduction, within either ``top``.  A slot after a
+    two-coefficient step is b1^2 times its slot of A plus c1 times the
     slot of E below it plus c0 times its own: three products of a residue
     and a slot, at most 3 (p - 1)(3p - 1), the layout's ``top`` on one
     run.  On more runs a slot below the top run gains one product more,
     c1 (z_r - z) times its slot of E, and no slot lies in two runs: at
     most 4 (p - 1)(3p - 1), the ``top`` on more runs.  A one-coefficient
-    step is two such products, and y E a slot plus one, at most
-    p (3p - 1); both are within either ``top``.
+    step is two such products, within either ``top``.
     """
     p, width, mu, shift, low = slots.p, slots.width, slots.mu, slots.shift, slots.low
     slot = (1 << width) - 1
     k = len(runs) - 1  # the run of B's top slot
-    starts, zs, masks, below, efixes = (0,), (), (), (), ()
+    below = bfixes = ()
     if k:
         starts, zs = zip(*runs)
         masks = [((1 << width * (end - start)) - 1) << width * start
                  for start, end in zip(starts, starts[1:])]
-        below = [(mask, (z - zs[k]) % p) for mask, z in zip(masks, zs)]
+        below = [()] * k + [[(mask, (z - zs[k]) % p) for mask, z in zip(masks, zs)]]
     la, lb = -(-big_a.bit_length() // width), -(-big_b.bit_length() // width)
     a1 = (big_a >> width * (la - 1)) % p if la else 0
     a2 = big_a >> width * (la - 2) & slot if la > 1 else 0
     b1 = (big_b >> width * (lb - 1)) % p if lb else 0
     second = big_b >> width * (lb - 2) & slot if lb > 1 else 0
     while lb and la + lb > stop:
-        # E is B at a drop of one degree; efixes holds E masked to each run
-        # below its top run, with that run's node less z, and second is E's
-        # slot below its lead.  powers holds E = B, y B, ... once needed.
+        # bfixes holds B masked to each run below its top run, with that
+        # run's node less z, and second is B's slot below its lead.
         db = lb - 1
-        e = big_b
-        powers = None
         if k:
             while starts[k] > db:
                 k -= 1
-                below = [(mask, (z - zs[k]) % p) for mask, z in zip(masks, zs[:k])]
-            efixes = [(big_b & mask, dz) for mask, dz in below]
+                below[k] = [(mask, (z - zs[k]) % p) for mask, z in zip(masks, zs[:k])]
+            bfixes = [(big_b & mask, dz) for mask, dz in below[k]]
         top = la - 1
         while top >= db:
             if not a1:
@@ -272,28 +277,22 @@ def packed_euclid(slots: Slots, big_a: int, big_b: int, runs=((0, 0),),
                 big_a -= (big_a * mu >> shift & low) * p  # Slots.reduce
                 top -= 1
             else:  # b1^2 A - (q1 y + q0) E
-                if top > db + 1:  # E = y^(top - db - 1) B; y E is E's next power
-                    if powers is None:
-                        powers = [(e, efixes, second)]
-                    while len(powers) < top - db:
-                        e, efixes, _ = powers[-1]
-                        e <<= width
-                        if efixes:  # else y E is the shift, its slots still below 3p
+                e, efixes = big_b, bfixes
+                if top > db + 1:  # E = y^(top - db - 1) B
+                    if not below:  # a shift, its slots still below 3p
+                        e <<= width * (top - db - 1)
+                    else:
+                        for etop in range(db + 1, top):
+                            e <<= width
                             for part, dz in efixes:
                                 e += dz * part
                             e -= (e * mu >> shift & low) * p
-                        etop = db + len(powers)
-                        r = bisect_right(starts, etop) - 1
-                        efixes = [(e & mask, (z - zs[r]) % p) for mask, z in zip(masks, zs[:r])] if r else ()
-                        powers.append((e, efixes, e >> width * (etop - 1) & slot))
-                    e, efixes, second = powers[top - db - 1]
+                            efixes = [(e & mask, dz) for mask, dz in below[bisect_right(starts, etop) - 1]]
                 c1 = p - a1 * b1 % p
                 big_a = b1 * b1 % p * big_a + e * (c1 << width | (a1 * second - a2 * b1) % p)
                 for part, dz in efixes:
                     big_a += c1 * dz % p * part
                 big_a -= (big_a * mu >> shift & low) * p
-                if powers:
-                    e, efixes, second = powers[0]
                 top -= 2
             if top >= db:
                 a1 = (big_a >> width * top & slot) % p

@@ -169,8 +169,8 @@ MAX_PRIME = 2**31
 MAX_ENUMERATED_PRIME = 2**16  # the largest p whose points affine_coordinates lists
 
 # e2ebench/layers.py wraps these three names, so they must exist; nothing
-# calls them.  They go when the benchmark reads a stats object instead of
-# patching names (ROADMAP item 1).
+# calls them.  They go when e2ebench/layers.py stops patching them and
+# e2ebench/worker.py stops reading series_mul's counters.
 series_mul = weierstrass_point_series = kernel_dim_mod_p = None
 
 

@@ -5,8 +5,7 @@ remainder sequence gives its dimensions, in pure-Python list arithmetic.
 The condition-matrix reference route that checks it, numpy elimination
 kernel included, lives in the test suite (tests/reference_oracle.py).
 ``e2ebench/worker.py`` still reads ``HAVE_NUMBA`` and ``active_backend()``
-on every run; both go when the benchmark stops reading them (ROADMAP
-item 1).
+on every run; both go when ``e2ebench/worker.py`` stops reading them.
 """
 
 HAVE_NUMBA = False

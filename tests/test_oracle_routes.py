@@ -423,11 +423,14 @@ def test_remainder_sequence_on_top_coordinates_is_exact():
     # Dropping the lowest g + 1 Newton coordinates once, before the first
     # step, gives the whole sequence's orders.  On these instances
     # dropping the lowest g + 2 does not, so an off-by-one in the count
-    # shows.  The packed loop runs on the nodes above the lowest g + 1;
-    # steps counts its steps whose divisor r_i has a zero lead below it
-    # (the next quotient has degree above 1) and those whose divisor's
-    # coordinates lie over three or more runs of nodes there, where a
-    # step adds two masked copies or more.
+    # shows.  The packed loop runs on the nodes above the lowest g + 1,
+    # and steps counts, there: steps whose divisor r_i has a zero lead
+    # below it (the next quotient has degree above 1); steps whose
+    # divisor's coordinates lie over three or more runs of nodes, where a
+    # step adds two masked copies or more; quotients of degree above 1
+    # whose divisor lies over two or more runs, where E = y^j B takes j
+    # products y E; and those whose products y E move E's top slot across
+    # a run start.
     one_too_many = later_long_quotients = 0
     steps = Counter()
     for sampler in (remainder_sequences, wide_remainder_sequences):
@@ -444,10 +447,16 @@ def test_remainder_sequence_on_top_coordinates_is_exact():
             for d in quotients:
                 length -= d
                 above = nodes[genus + 1:length]
-                steps["three runs"] += sum(y != z for y, z in zip(above, above[1:])) >= 2
+                run_starts = sum(y != z for y, z in zip(above, above[1:]))
+                steps["three runs"] += run_starts >= 2
+                if d > 1:
+                    steps["long, two runs"] += run_starts >= 1
+                    steps["across a run start"] += any(
+                        nodes[i] != nodes[i - 1] for i in range(length, length + d - 1))
     assert one_too_many >= 100
     assert later_long_quotients >= 100
-    assert min(steps["zero lead"], steps["three runs"]) >= 50, steps
+    assert min(steps["zero lead"], steps["three runs"], steps["long, two runs"]) >= 50, steps
+    assert steps["across a run start"] >= 20, steps
 
 
 # ---------------------------------------------------------------- doubling
