@@ -30,11 +30,12 @@ reductions, so a whole vector is scaled, shifted or added in one
 C-level big-int operation, and one slot-wise Barrett reduction (five
 more) brings every slot back into [0, 3p) without a borrow between
 slots.  Each caller states its bound and why it holds.
-``packed_euclid`` is the one remainder-sequence loop: curve
-validation's squarefree test ``poly_gcd`` runs it to the gcd in the
-monomial basis, and the oracle's half sequence
-(``hyperelliptic._basis_pole_orders``) to a degree-sum bound in a
-Newton basis.  Its steps are fraction-free: they scale by the
+``packed_euclid`` is the one remainder-sequence loop, in one basis,
+powers of a variable y, with one bound: curve validation's squarefree
+test ``poly_gcd`` runs it to the gcd in the monomial basis, y = x, and
+the oracle's half sequence (``hyperelliptic._basis_pole_orders``) to a
+degree-sum bound with y = x - z, its Newton coordinates rewritten in
+that basis once.  Its steps are fraction-free: they scale by the
 divisor's lead instead of inverting it, which changes each remainder
 by a nonzero constant only.  The other loops stay on lists.  The
 square root is already C-level dot products, and the helpers
@@ -49,7 +50,6 @@ queries call it only where a straight-line doubling degenerates.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import lru_cache
 from math import comb
 from operator import mul
@@ -168,106 +168,60 @@ class Slots:
 
 
 @lru_cache(maxsize=128)
-def _cached_slots(p: int, top: int, count: int) -> Slots:
-    """``Slots(p, top, count)``, built once per key and shared, for a
-    layout that recurs call after call (``euclid_slots``', one per prime,
-    one run of nodes or more, and operand length).  At most 128 layouts
-    are kept, each holding a ``low`` mask of count * width bits; at
-    ``euclid_slots``' tops the width is at most 101 bits below
-    p = 2**31, so at count 82 (genus 40's f) a layout holds about 1 KB."""
-    return Slots(p, top, count)
+def euclid_slots(p: int, count: int) -> Slots:
+    """The layout of ``packed_euclid`` over F_p for ``count`` coefficients:
+    its ``top`` is 3 (p - 1)(3p - 1).  A layout recurs call after call,
+    one per prime and operand length, so each is built once and shared.
+    At most 128 are kept, each holding a ``low`` mask of count * width
+    bits; at p = 2**31 - 1 the width is 101 bits, so at count 82 (genus
+    40's f) a layout holds about 1 KB."""
+    return Slots(p, 3 * (p - 1) * (3 * p - 1), count)
 
 
-def euclid_slots(p: int, runs: int, count: int) -> Slots:
-    """The layout of ``packed_euclid`` over F_p for ``count`` coefficients
-    in a Newton basis of ``runs`` runs of nodes: its ``top`` is
-    3 (p - 1)(3p - 1) on one run and 4 (p - 1)(3p - 1) on more."""
-    return _cached_slots(p, (3 if runs == 1 else 4) * (p - 1) * (3 * p - 1), count)
-
-
-def packed_euclid(slots: Slots, big_a: int, big_b: int, runs=((0, 0),),
-                  stop: int = 0) -> tuple[int, int]:
+def packed_euclid(slots: Slots, big_a: int, big_b: int, stop: int = 0) -> tuple[int, int]:
     """Euclid's remainder sequence r_0 = A, r_1 = B, r_(i+1) = r_(i-1)
     mod r_i over F_p, fraction-free, so each r_i is found up to a nonzero
     scalar.  A and B are packed in ``slots``, the layout
-    ``euclid_slots(p, len(runs), count)`` for some count >= len A, len B,
-    each slot in [0, 3p) (``Slots.pack`` gives residues).  The loop stops
-    at the first r_i that is zero or has len r_i + len r_(i-1) <=
+    ``euclid_slots(p, count)`` for some count >= len A, len B, each slot
+    in [0, 3p) (``Slots.pack`` gives residues), the coefficient of y^k in
+    slot k, where y is x or any x - z: a step reads no node.  The loop
+    stops at the first r_i that is zero or has len r_i + len r_(i-1) <=
     ``stop`` (0 runs it to the gcd) and returns r_(i-1), packed, and its
     length.
-
-    The coefficients are those of the Newton basis N_k = (x - z_0) ...
-    (x - z_(k-1)) given by ``runs``: (start, z) for each run of equal
-    nodes, z_k = z from k = start up to the next run's start, the first
-    run at 0.  One run is the monomial basis in x - z, and (0, 0) the
-    monomial basis.
 
     A step is a pseudo-division step (D. Knuth, TAOCP vol. 2, 4.6.1).
     Let b1, b2 be the top two coefficients of B = r_i, db = deg B, and
     a1, a2 those of A, a1 in slot top.  A two-coefficient step is
-    A <- b1^2 A - (q1 y + q0) E with E = y^j B, j = top - db - 1, formed
-    in the step that uses it; y = x - z for the node z of E's top slot,
-    q1 = a1 b1 and q0 = a2 b1 - a1 b2: that clears A's top two
-    coefficients without inverting b1, as E's top two are B's (below).
-    With one coefficient above deg B left, A <- b1 A - a1 B clears it,
-    and a zero lead is passed over, so a remainder may drop any number of
-    degrees.  Every remainder is then a nonzero constant times the usual
-    one, since each step scales A by b1 or b1^2, not 0, and subtracts a
-    multiple of B: a nonzero constant changes no gcd up to a unit and no
-    degree, so the stop test and the degrees read off are those of the
-    monic sequence.
-
-    (x - z) N_k = N_(k+1) + (z_k - z) N_k, so y E is E shifted up one
-    slot plus, for each run below the run of E's top slot, (z_r - z)
-    times E masked to that run's slots; the top run's term is 0, so y E
-    has E's top two coefficients, one slot up.  On one run E = y^j B is
-    B shifted up j slots; on more runs it is j products y E, each
-    reduced.  One table gives the masked copies of B and of every E
-    formed: its row r holds the mask of each run below run r and that
-    run's node less z_r.  Rows are built once each, from the top run
-    down as B's top slot walks down the runs, so every row from B's top
-    run up is there, and E's top slot lies at or above B's.  A step is
-    then a scaling of A, one multiply of E by the two-slot scalar
-    c1 << W | c0 (c1 = -q1, c0 = -q0 mod p) and one scaled, masked copy
-    of E per run below the top one, so on one run it is a single
-    multiply of E, and then one ``Slots.reduce``.
+    A <- b1^2 A - (q1 y + q0) E with E = y^j B, j = top - db - 1, which
+    is B shifted up j slots, q1 = a1 b1 and q0 = a2 b1 - a1 b2: that
+    clears A's top two coefficients without inverting b1.  With one
+    coefficient above deg B left, A <- b1 A - a1 B clears it, and a zero
+    lead is passed over, so a remainder may drop any number of degrees.
+    Every remainder is then a nonzero constant times the usual one, since
+    each step scales A by b1 or b1^2, not 0, and subtracts a multiple of
+    B: a nonzero constant changes no gcd up to a unit and no degree, so
+    the stop test and the degrees read off are those of the monic
+    sequence.  A step is a scaling of A and one multiply of E by the
+    two-slot scalar c1 << W | c0 (c1 = -q1, c0 = -q0 mod p), then one
+    ``Slots.reduce``.
 
     Slot bounds.  After every reduction a slot of A or B lies in [0, 3p),
-    and every scalar is a residue, at most p - 1.  So does a slot of E:
-    on one run it is a slot of B, and on more runs each product y E is a
-    slot plus one product (z_r - z) times a slot, at most p (3p - 1)
-    before its reduction, within either ``top``.  A slot after a
-    two-coefficient step is b1^2 times its slot of A plus c1 times the
-    slot of E below it plus c0 times its own: three products of a residue
-    and a slot, at most 3 (p - 1)(3p - 1), the layout's ``top`` on one
-    run.  On more runs a slot below the top run gains one product more,
-    c1 (z_r - z) times its slot of E, and no slot lies in two runs: at
-    most 4 (p - 1)(3p - 1), the ``top`` on more runs.  A one-coefficient
-    step is two such products, within either ``top``.
+    and so does a slot of E, a slot of B; every scalar is a residue, at
+    most p - 1.  A slot after a two-coefficient step is b1^2 times its
+    slot of A plus c1 times the slot of E below it plus c0 times its own:
+    three products of a residue and a slot, at most 3 (p - 1)(3p - 1),
+    the layout's ``top``.  A one-coefficient step is two such products.
     """
     p, width, mu, shift, low = slots.p, slots.width, slots.mu, slots.shift, slots.low
     slot = (1 << width) - 1
-    k = len(runs) - 1  # the run of B's top slot
-    below = bfixes = ()
-    if k:
-        starts, zs = zip(*runs)
-        masks = [((1 << width * (end - start)) - 1) << width * start
-                 for start, end in zip(starts, starts[1:])]
-        below = [()] * k + [[(mask, (z - zs[k]) % p) for mask, z in zip(masks, zs)]]
     la, lb = -(-big_a.bit_length() // width), -(-big_b.bit_length() // width)
     a1 = (big_a >> width * (la - 1)) % p if la else 0
     a2 = big_a >> width * (la - 2) & slot if la > 1 else 0
     b1 = (big_b >> width * (lb - 1)) % p if lb else 0
     second = big_b >> width * (lb - 2) & slot if lb > 1 else 0
     while lb and la + lb > stop:
-        # bfixes holds B masked to each run below its top run, with that
-        # run's node less z, and second is B's slot below its lead.
+        # second is B's slot below its lead.
         db = lb - 1
-        if k:
-            while starts[k] > db:
-                k -= 1
-                below[k] = [(mask, (z - zs[k]) % p) for mask, z in zip(masks, zs[:k])]
-            bfixes = [(big_b & mask, dz) for mask, dz in below[k]]
         top = la - 1
         while top >= db:
             if not a1:
@@ -276,22 +230,10 @@ def packed_euclid(slots: Slots, big_a: int, big_b: int, runs=((0, 0),),
                 big_a = b1 * big_a + (p - a1) * big_b
                 big_a -= (big_a * mu >> shift & low) * p  # Slots.reduce
                 top -= 1
-            else:  # b1^2 A - (q1 y + q0) E
-                e, efixes = big_b, bfixes
-                if top > db + 1:  # E = y^(top - db - 1) B
-                    if not below:  # a shift, its slots still below 3p
-                        e <<= width * (top - db - 1)
-                    else:
-                        for etop in range(db + 1, top):
-                            e <<= width
-                            for part, dz in efixes:
-                                e += dz * part
-                            e -= (e * mu >> shift & low) * p
-                            efixes = [(e & mask, dz) for mask, dz in below[bisect_right(starts, etop) - 1]]
+            else:  # b1^2 A - (q1 y + q0) y^(top - db - 1) B
+                e = big_b << width * (top - db - 1)
                 c1 = p - a1 * b1 % p
                 big_a = b1 * b1 % p * big_a + e * (c1 << width | (a1 * second - a2 * b1) % p)
-                for part, dz in efixes:
-                    big_a += c1 * dz % p * part
                 big_a -= (big_a * mu >> shift & low) * p
                 top -= 2
             if top >= db:
@@ -316,7 +258,7 @@ def packed_euclid(slots: Slots, big_a: int, big_b: int, runs=((0, 0),),
 
 def poly_gcd(a, b, p: int) -> list[int]:
     """Monic gcd over F_p, by ``packed_euclid`` in the monomial basis."""
-    slots = euclid_slots(p, 1, max(len(a), len(b)))
+    slots = euclid_slots(p, max(len(a), len(b)))
     a = slots.unpack(*packed_euclid(slots, slots.pack(a), slots.pack(b)))
     return poly_scale(a, pow(a[-1], -1, p), p) if a else a
 

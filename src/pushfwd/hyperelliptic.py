@@ -50,12 +50,15 @@ Riemann-Roch space dimensions are computed exactly over F_p:
    the orders are 2n and 2g + 1, and no series or interpolant is built.
    Otherwise the quotients it takes depend only on the coefficients of
    degree > g (see ``_basis_pole_orders``), so it runs on the Newton
-   coordinates above the lowest g + 1, where U0 = N_n is a unit vector,
-   V is the interpolant's coordinates and x N_i = N_(i+1) + z_i N_i.  It
-   runs in ``expansions.packed_euclid``, the loop that curve validation's
-   squarefree test runs too, fraction-free: each remainder comes out a
-   nonzero constant times the usual one, which changes no degree, so the
-   stop test and the orders are those of the monic sequence;
+   coordinates above the lowest g + 1 of U0 = N_n, a unit vector, and of
+   V, the interpolant's, each rewritten once in powers of y = x - z, z
+   the last node, by Horner's rule: no remainder's degree depends on the
+   basis it is written in.  It runs in that one basis in
+   ``expansions.packed_euclid``, the loop that curve validation's
+   squarefree test runs in the monomial basis, fraction-free: each
+   remainder comes out a nonzero constant times the usual one, which
+   changes no degree, so the stop test and the orders are those of the
+   monic sequence;
 6. those orders are n + n' and n - n' + 2g + 1, where n' is the degree
    of the reduced representative of E - n * infinity, E = div(U0, V)
    the zeros asked for: the solution of least pole order vanishes on E
@@ -92,12 +95,12 @@ the sites go in ascending d, so the largest updates none (and a single
 site none at all); and they cost the remainder sequence about
 (n - g) / 2 steps, n = deg U0, one per degree from n down to (n + g) / 2,
 each a few C-level big-int operations on at most n - g packed
-coordinates, plus one masked copy per run of nodes below the divisor's
-top run.  When deg U0 <= g + 1 none of this is done.  The Newton route
-runs only when n <= B(g, s) =
-14 + 11 g + floor(s / 2), or 14 + floor(s / 2) at genus 2, so its cost is
-bounded by the genus and the number s of x-values, and no multiplicity
-makes it longer.  On the doubling route the sites share the
+coordinates, after the change to powers of y, one such operation per
+node below the last run of nodes, for U0 and for V.  When
+deg U0 <= g + 1 none of this is done.  The Newton route runs only when
+n <= B(g, s) = 14 + 11 g + floor(s / 2), or 14 + floor(s / 2) at
+genus 2, so its cost is bounded by the genus and the number s of
+x-values, and no multiplicity makes it longer.  On the doubling route the sites share the
 floor(log2(max d)) doublings, and each site adds its point once per set
 bit of its d; each step works on polynomials of degree at most 2g + 1
 and costs O(g^2).  A lone point's doubling costs one pass over f, for
@@ -586,7 +589,8 @@ def _ladder(sites, f, genus, p):
 def _basis_pole_orders(nodes, v, genus, p):
     """Pole orders at infinity of a reduced basis of the solutions (a, b)
     of a + b V = 0 mod U, where U = N_n is the product over the n > g + 1
-    ``nodes`` and V = sum v_i N_i is given by its Newton coordinates.
+    ``nodes`` and V = sum v_i N_i is given by its Newton coordinates,
+    residues.
 
     Each row (r_i, -t_i) of the extended Euclid algorithm on r_0 = U and
     r_1 = V, with r_i = s_i U + t_i V, is a solution, any two consecutive
@@ -605,18 +609,34 @@ def _basis_pole_orders(nodes, v, genus, p):
     2 deg r_i > n + g; when it is not, the next test stops whatever
     r_(i+1) is.  So each test reads deg r_i = deg q_i + g + 1 and stops
     where the full sequence does; one dropped node more breaks this.
-    The steps run in ``packed_euclid`` on the runs of equal nodes above
-    the lowest g + 1, a single run taken as the monomial basis in x - z.
+
+    The q_i are polynomials, and their degrees, so the stop test and the
+    orders, do not depend on the basis their coefficients are written
+    in.  ``packed_euclid`` runs in powers of y = x - z, z the last node:
+    each list c of Newton coordinates becomes the coefficients in y of
+    sum c_j N'_j by Horner's rule from the top, acc <- (x - z_j) acc +
+    c_j, with x - z_j = y + dz_j, dz_j = z - z_j.  The trailing run of
+    nodes equal to z has dz_j = 0, so its coordinates are already powers
+    of y and are packed as they are; the run is found by walking back
+    from the last node, so any node order is served.  Each node below it
+    is one packed step (acc << W) + dz_j acc + c_j and one
+    ``Slots.reduce``.  A slot of acc lies in [0, 3p) after a reduction
+    and dz_j, c_j are residues, so a slot before one is at most
+    (3p - 1) + (p - 1)(3p - 1) = p (3p - 1), within the layout's ``top``
+    3 (p - 1)(3p - 1); slot 0, (p - 1)(3p - 1) + c_j, is no more.
     """
     n, low = len(nodes), genus + 1
-    above = nodes[low:]
-    runs = ((0, 0),)  # one run is the monomial basis in x - z
-    if above.count(above[0]) < len(above):
-        runs = [(0, above[0])] + [(k, z) for k, (y, z) in enumerate(zip(above, above[1:]), 1)
-                                  if y != z]
-    slots = euclid_slots(p, len(runs), n - low + 1)
-    _, length = packed_euclid(slots, 1 << slots.width * (n - low), slots.pack(v[low:]), runs,
-                              n + genus - 2 * low + 2)
+    z, start = nodes[-1], n - 1  # start: z's trailing run, above the lowest g + 1
+    while start > low and nodes[start - 1] == z:
+        start -= 1
+    slots = euclid_slots(p, n - low + 1)
+    width, reduce = slots.width, slots.reduce
+    big_u, big_v = 1 << width * (n - start), slots.pack(v[start:])
+    for j in range(start - 1, low - 1, -1):  # Horner's rule, x - z_j = y + dz
+        dz = (z - nodes[j]) % p
+        big_u = reduce((big_u << width) + dz * big_u)
+        big_v = reduce((big_v << width) + dz * big_v + v[j])
+    _, length = packed_euclid(slots, big_u, big_v, n + genus - 2 * low + 2)
     m = length - 1 + low
     return 2 * m, 2 * (n - m) + 2 * genus + 1
 

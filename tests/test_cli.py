@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import pushfwd.hyperelliptic as hyperelliptic
 from pushfwd import cli, curve_from_string, divisor_from_string
 from pushfwd.campaigns import CAMPAIGNS, CampaignReport
-from reference_oracle import addition_case
+from reference_oracle import addition_case, reference_basis_pole_orders
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -83,6 +83,8 @@ def test_bounds_subcommand():
 GENUS2 = "p=5; f=0,1,0,0,0,1"
 GENUS3 = "p=7; f=1,2,0,0,1,0,0,1"
 GENUS3_DOUBLING = "inf:2; pt:0,1:40; pt:2,4:54; pt:3,0:57"
+GENUS4 = "p=13; f=5,8,9,6,9,3,5,10,0,1"
+GENUS4_LONG_QUOTIENT = "pt:6,6:6; pt:9,6:4; pt:11,3:6"
 HYPER_PUSH_CASES = (
     ("weierstrass", GENUS2, "inf:1; pt:0,0:7", 1),
     ("split-41", GENUS2, "inf:-3; pt:2,2:41; pt:3,1:-2", 3),
@@ -112,6 +114,11 @@ HYPER_PUSH_CASES = (
     ("genus12-runs", "p=10007; f=1,3,0,0,0,0,0,5" + ",0" * 17 + ",1",
      "inf:-4; pt:3,6422:9; pt:7,3236:-2; pt:8,2803:7; pt:11,6955:-5; "
      "pt:12,6782:3; pt:13,9369:-8", 2),
+    # The Newton route's remainder sequence taking a quotient of degree 2
+    # whose divisor's coordinates lie over two runs of nodes: genus 4 over
+    # F_13, three split x-values, n = 16 nodes in [g + 2, B(4, 3)]
+    # (test_genus4_long_quotient_case_spans_two_runs).
+    ("genus4-long-quotient", GENUS4, GENUS4_LONG_QUOTIENT, 2),
     # The doubling route at genus 3 over F_7: n = 95 > B(3, 3) = 48 nodes
     # at three x-values, one a ramification zero, whose ladder adds points
     # by every case of _add_point (test_genus3_doubling_case_adds_by_every_case).
@@ -155,6 +162,31 @@ def test_genus3_doubling_case_adds_by_every_case(monkeypatch):
     assert sum(d for _, _, d in sites) > hyperelliptic._doubling_bound(3, 3)
     hyperelliptic._pole_orders(divisor)
     assert cases == Counter({"crt": 2, "hensel": 2, "cancel": 1, "cancel at y0 = 0": 1})
+
+
+def test_genus4_long_quotient_case_spans_two_runs(monkeypatch):
+    # The Newton route of the genus4-long-quotient golden case takes a
+    # quotient of degree 2 whose divisor's Newton coordinates above the
+    # lowest g + 1 lie over two runs of nodes.
+    calls = []
+    orders = hyperelliptic._basis_pole_orders
+    monkeypatch.setattr(hyperelliptic, "_basis_pole_orders",
+                        lambda *args: calls.append(args) or orders(*args))
+    divisor = divisor_from_string(curve_from_string(GENUS4), GENUS4_LONG_QUOTIENT)
+    _, sites = hyperelliptic._conditions(divisor)
+    assert len(sites) == 3
+    assert 4 + 2 <= sum(d for _, _, d in sites) <= hyperelliptic._doubling_bound(4, 3)
+    hyperelliptic._pole_orders(divisor)
+    [(nodes, v, genus, p)] = calls
+    quotients = []
+    assert reference_basis_pole_orders(nodes, v, genus, p, quotients=quotients) == \
+        orders(nodes, v, genus, p)
+    long_over_runs, length = 0, len(nodes) + 1  # of r_i, from the quotient degrees
+    for d in quotients:
+        length -= d
+        above = nodes[genus + 1:length]
+        long_over_runs += d > 1 and any(y != z for y, z in zip(above, above[1:]))
+    assert quotients == [1, 1, 2, 1, 1] and long_over_runs == 1, quotients
 
 
 def test_split_41_case_takes_the_doubling_route(monkeypatch, tmp_path):

@@ -226,8 +226,8 @@ def test_poly_gcd_matches_the_divmod_loop_at_every_length():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_slot_reduction_at_the_largest_value_its_bound_admits(p):
-    # The layouts of packed_euclid, on one run of nodes and on more, and
-    # of the interpolant, at one node and at 300; every slot holds
+    # The layout of packed_euclid, a top a third above it, and the
+    # interpolant's layouts at one node and at 300; every slot holds
     # 2**vb - 1, vb the bit length of the bound.
     for top in (3 * (p - 1) * (3 * p - 1), 4 * (p - 1) * (3 * p - 1), 3 * p * p, 3 * p * p * 300):
         count = 40
@@ -238,43 +238,43 @@ def test_slot_reduction_at_the_largest_value_its_bound_admits(p):
         assert packed >> width * count == 0
         assert all(0 <= x < 3 * p and x % p == full % p for x in raw), (p, top)
         assert slots.unpack(packed, count) == [full % p] * count
+    if p == 2**31 - 1:  # the width euclid_slots' docstring states
+        assert euclid_slots(p, 82).width == 101
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_euclid_step_at_its_largest_slots(p):
     # Every slot of A and of E at 3p - 1, the most a reduced slot holds,
-    # and every scalar at p - 1: a two-coefficient step of packed_euclid
-    # on one run and on three (E's top in the third, so two masked copies
-    # below it), a one-coefficient step and a product y E stay within the
-    # layout's top and reduce to their residues.  E's top slot is one
-    # below A's, as in the loop.
+    # and every scalar at p - 1: a two-coefficient step of packed_euclid,
+    # a one-coefficient step, a shift y E and a Horner step of
+    # _basis_pole_orders' change to powers of y, (acc << W) + dz acc + c,
+    # stay within the layout's top and reduce to their residues.  E's top
+    # slot is one below A's, as in the loop, and so is acc's.
     count, full, r = 40, 3 * p - 1, p - 1
-    for runs in (((0, 0),), ((0, 1), (10, 2), (25, 3))):
-        slots = euclid_slots(p, len(runs), count)
-        top = (3 if len(runs) == 1 else 4) * (p - 1) * (3 * p - 1)
-        assert slots.shift + 1 == top.bit_length()
-        width, below = slots.width, runs[-1][0]
-        a, e = [full] * count, [full] * (count - 1) + [0]
-        big_a, big_e = (sum(x << width * i for i, x in enumerate(v)) for v in (a, e))
-        # E in the runs below its top run, each scaled by p - 1.
-        fixes = r * (big_e & (1 << width * below) - 1) if len(runs) > 1 else 0
-        shifted = [0] + e[:-1]
-        cases = (
-            (r * big_a + big_e * (r << width | r) + fixes,
-             [r * x + r * s + r * y + (r * y if i < below else 0)
-              for i, (x, s, y) in enumerate(zip(a, shifted, e))]),
-            (r * big_a + r * big_e, [r * x + r * y for x, y in zip(a, e)]),
-            ((big_e << width) + fixes,
-             [s + (r * y if i < below else 0) for i, (s, y) in enumerate(zip(shifted, e))]),
-        )
-        for packed, exact in cases:
-            assert max(exact) <= top
-            assert packed == sum(x << width * i for i, x in enumerate(exact))
-            reduced = slots.reduce(packed)
-            raw = [reduced >> width * i & ((1 << width) - 1) for i in range(count)]
-            assert reduced >> width * count == 0
-            assert all(0 <= x < 3 * p for x in raw), (p, runs)
-            assert slots.unpack(reduced, count) == [x % p for x in exact]
+    slots = euclid_slots(p, count)
+    top = 3 * (p - 1) * (3 * p - 1)
+    assert slots.shift + 1 == top.bit_length()
+    width = slots.width
+    a, e = [full] * count, [full] * (count - 1) + [0]
+    big_a, big_e = (sum(x << width * i for i, x in enumerate(v)) for v in (a, e))
+    shifted = [0] + e[:-1]
+    horner = [r * e[0] + r] + [s + r * y for s, y in zip(shifted[1:], e[1:])]
+    assert max(horner) <= p * (3 * p - 1)
+    cases = (
+        (r * big_a + big_e * (r << width | r),
+         [r * x + r * s + r * y for x, s, y in zip(a, shifted, e)]),
+        (r * big_a + r * big_e, [r * x + r * y for x, y in zip(a, e)]),
+        (big_e << width, shifted),
+        ((big_e << width) + r * big_e + r, horner),
+    )
+    for packed, exact in cases:
+        assert max(exact) <= top
+        assert packed == sum(x << width * i for i, x in enumerate(exact))
+        reduced = slots.reduce(packed)
+        raw = [reduced >> width * i & ((1 << width) - 1) for i in range(count)]
+        assert reduced >> width * count == 0
+        assert all(0 <= x < 3 * p for x in raw), p
+        assert slots.unpack(reduced, count) == [x % p for x in exact]
 
 
 def test_series_mul_truncation():

@@ -423,14 +423,15 @@ def test_remainder_sequence_on_top_coordinates_is_exact():
     # Dropping the lowest g + 1 Newton coordinates once, before the first
     # step, gives the whole sequence's orders.  On these instances
     # dropping the lowest g + 2 does not, so an off-by-one in the count
-    # shows.  The packed loop runs on the nodes above the lowest g + 1,
-    # and steps counts, there: steps whose divisor r_i has a zero lead
+    # shows.  The packed loop runs on the coordinates above the lowest
+    # g + 1, rewritten in powers of x - z, z the last node, and steps
+    # counts, from the reference's quotients and the nodes, how much of
+    # the samplers' traffic has several runs of nodes there, all of which
+    # goes through that rewriting: steps whose divisor r_i has a zero lead
     # below it (the next quotient has degree above 1); steps whose
-    # divisor's coordinates lie over three or more runs of nodes, where a
-    # step adds two masked copies or more; quotients of degree above 1
-    # whose divisor lies over two or more runs, where E = y^j B takes j
-    # products y E; and those whose products y E move E's top slot across
-    # a run start.
+    # divisor's coordinates lie over three or more runs; quotients of
+    # degree above 1 whose divisor lies over two or more runs; and those
+    # whose shifts y^j B, 0 < j < d, move B's top slot across a run start.
     one_too_many = later_long_quotients = 0
     steps = Counter()
     for sampler in (remainder_sequences, wide_remainder_sequences):
