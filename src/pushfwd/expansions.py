@@ -32,20 +32,22 @@ more) brings every slot back into [0, 3p) without a borrow between
 slots.  Each caller states its bound and why it holds.
 ``packed_euclid`` is the one remainder-sequence loop, in one basis,
 powers of a variable y, with one bound: curve validation's squarefree
-test ``poly_gcd`` runs it to the gcd in the monomial basis, y = x, and
-the oracle's half sequence (``hyperelliptic._basis_pole_orders``) to a
+test ``poly_gcd`` runs it to the gcd in the monomial basis, y = x, the
+oracle's half sequence (``hyperelliptic._basis_pole_orders``) to a
 degree-sum bound with y = x - z, its Newton coordinates rewritten in
-that basis once.  Its steps are fraction-free: they scale by the
-divisor's lead instead of inverting it, which changes each remainder
-by a nonzero constant only.  The other loops stay on lists.  The
-square root is already C-level dot products, and the helpers
-``divmod_residues``, ``poly_mul`` and ``poly_axpy`` serve the doubling
-route's point additions and Cantor reductions, and ``poly_xgcd`` its
-doublings off the straight-line genus-2 path.  At g >= 2 a lone
-point's doubling takes no gcd: it is the tangent U = (x - x0)^2,
+that basis once, and the doubling route's inverse of v mod u,
+``poly_xgcd``, to the gcd on operands that carry b's cofactor in the
+slots below the remainder.  Its steps are fraction-free: they scale by
+the divisor's lead instead of inverting it, which changes each
+remainder by a nonzero constant only.  The square root is already
+C-level dot products, and the list helpers ``divmod_residues``,
+``poly_mul`` and ``poly_axpy`` serve the doubling route's point
+additions, Cantor doublings and reductions.  At g >= 2 a lone point's
+doubling takes no gcd: it is the tangent U = (x - x0)^2,
 V = y0 + f'(x0) / (2 y0) (x - x0), exact as V^2 = f mod U and reduced
 as deg U = 2 <= g, so the ladders of the benchmark's genus-2 ``sweep``
-queries call it only where a straight-line doubling degenerates.
+queries call ``poly_xgcd`` only where a straight-line doubling
+degenerates.
 """
 
 from __future__ import annotations
@@ -265,17 +267,28 @@ def poly_gcd(a, b, p: int) -> list[int]:
 
 def poly_xgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     """(d, t): d = s a + t b is the monic gcd of the trimmed lists of
-    residues a and b, not both 0, for some s; so t is 1 / b mod a when
-    d = 1.  Euclid's loop with the cofactor of b on lists, apart from
-    ``packed_euclid``, which keeps no cofactor: its operands are only a
-    doubling's reduced (u, v), of degree at most g, and it runs only off
-    the straight-line genus-2 path."""
-    t0, t1 = [], [1]
-    while b:
-        q, r = divmod_residues(a, b, p)
-        a, b, t0, t1 = b, r, t1, poly_axpy(t0, poly_mul(q, t1, p), -1, p)
-    inv = pow(a[-1], -1, p)
-    return poly_scale(a, inv, p), poly_scale(t0, inv, p)
+    residues a and b, a nonzero, for some s; so t is 1 / b mod a when
+    d = 1.  One ``packed_euclid`` run on augmented operands carries t
+    (J. von zur Gathen, J. Gerhard, *Modern Computer Algebra*, 3.2):
+    with n = len a, A = a y^n and B = b y^n + 1 hold a remainder r_i in
+    slots n and up and its cofactor t_i, r_i = t_i b mod a, below slot
+    n, 0 for A and 1 for B.  A step is one polynomial operation,
+    A <- c A - q B, on the packed whole, so it scales r_i and t_i by the
+    same nonzero constant c.  The cofactor of r_(i+1) has degree at most
+    deg a - deg r_i < n, so neither it nor q t_i reaches slot n: the
+    slots a step clears hold the remainders alone, and q is the quotient
+    of the gcd run.  While both remainders are nonzero each packed length
+    is above n, the two at least 2n + 2; at the first zero remainder the
+    cofactor is a nonzero multiple of a / d, of length n - len d + 1, so
+    the lengths sum to 2n + 1 exactly there, the stop value.  a must be
+    nonzero: with n = 0, B's 1 would land on b's constant term."""
+    n = len(a)
+    slots = euclid_slots(p, n + max(n, len(b)))
+    shift = slots.width * n
+    big_a, big_b = slots.pack(a) << shift, slots.pack(b) << shift | 1
+    out = slots.unpack(*packed_euclid(slots, big_a, big_b, 2 * n + 1))
+    inv = pow(out[-1], -1, p)
+    return poly_scale(out[n:], inv, p), poly_scale(poly_trim(out[:n]), inv, p)
 
 
 def poly_is_squarefree(coeffs, p: int) -> bool:

@@ -55,10 +55,10 @@ Riemann-Roch space dimensions are computed exactly over F_p:
    the last node, by Horner's rule: no remainder's degree depends on the
    basis it is written in.  It runs in that one basis in
    ``expansions.packed_euclid``, the loop that curve validation's
-   squarefree test runs in the monomial basis, fraction-free: each
-   remainder comes out a nonzero constant times the usual one, which
-   changes no degree, so the stop test and the orders are those of the
-   monic sequence;
+   squarefree test and the doubling route's inverses (step 6) run in
+   the monomial basis, fraction-free: each remainder comes out a
+   nonzero constant times the usual one, which changes no degree, so
+   the stop test and the orders are those of the monic sequence;
 6. those orders are n + n' and n - n' + 2g + 1, where n' is the degree
    of the reduced representative of E - n * infinity, E = div(U0, V)
    the zeros asked for: the solution of least pole order vanishes on E
@@ -100,14 +100,19 @@ node below the last run of nodes, for U0 and for V.  When
 deg U0 <= g + 1 none of this is done.  The Newton route runs only when
 n <= B(g, s) = 14 + 11 g + floor(s / 2), or 14 + floor(s / 2) at
 genus 2, so its cost is bounded by the genus and the number s of
-x-values, and no multiplicity makes it longer.  On the doubling route the sites share the
-floor(log2(max d)) doublings, and each site adds its point once per set
-bit of its d; each step works on polynomials of degree at most 2g + 1
-and costs O(g^2).  A lone point's doubling costs one pass over f, for
-f'(x0), and one inversion.  At genus 2 a doubling of a degree-2 u in
-general position costs about 40 multiplications and two inversions in
-one pass, against about 25 calls into the list helpers.  Nothing is
-eliminated, and numpy is not used.
+x-values, and no multiplicity makes it longer.  On the doubling route
+the sites share the floor(log2(max d)) doublings, and each site adds
+its point once per set bit of its d; each step works on polynomials of
+degree at most 2g + 1 and costs O(g^2).  A lone point's doubling costs
+one pass over f, for f'(x0), and one inversion.  Any other doubling
+inverts v mod u by one ``packed_euclid`` run
+(``expansions.poly_xgcd``), at most deg u steps of a few C-level
+big-int operations on 2 deg u + 2 packed slots, and a second run when
+Weierstrass points drop out; the lift and the first reduction step are
+about 14 calls into the list helpers.  At genus 2 a doubling of a
+degree-2 u in general position costs about 40 multiplications and two
+inversions in one pass, against about 25 calls into the list helpers.
+Nothing is eliminated, and numpy is not used.
 
 The conditions do not depend on the coefficient at infinity, so the two
 pole orders serve dim L(D - k*infinity) for every k (the reduced basis at

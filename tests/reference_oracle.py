@@ -18,7 +18,9 @@ is the oracle's interpolant on lists of residues, and
 ``reference_taylor_prefix`` its Taylor shift by synthetic division.
 ``reference_compose`` is Cantor's general composition of two Mumford
 pairs, which the oracle's ladder replaces by adding one point at a time,
-and ``addition_case`` names the case of that addition.
+and ``addition_case`` names the case of that addition; its inverses come
+from ``reference_xgcd``, Euclid's loop with a cofactor on lists, which
+the oracle's ``poly_xgcd`` replaces by one packed run.
 
 The package itself needs neither the elimination nor the ramification
 series, so they live here: ``pivot_columns_mod_p``, a numpy column
@@ -36,7 +38,6 @@ from pushfwd.expansions import (
     poly_eval,
     poly_mul,
     poly_trim,
-    poly_xgcd,
     split_point_series,
     taylor_prefix,
 )
@@ -411,6 +412,23 @@ def reference_taylor_prefix(coeffs, x0: int, prec: int, p: int) -> list[int]:
     return out
 
 
+def reference_xgcd(a, b, p, drops=None):
+    """(d, t): d = s a + t b is the monic gcd of the trimmed lists of
+    residues a and b, a nonzero, for some s, by Euclid's loop with the
+    cofactor of b on lists, one ``divmod_residues`` per step; the oracle's
+    ``expansions.poly_xgcd`` runs the packed loop instead.  Each nonzero
+    remainder that falls two or more degrees below its divisor adds 1 to
+    ``drops`` when given."""
+    t0, t1 = [], [1]
+    while b:
+        q, r = divmod_residues(a, b, p)
+        if drops is not None and r and len(r) < len(b) - 1:
+            drops[p] += 1
+        a, b, t0, t1 = b, r, t1, poly_axpy(t0, poly_mul(q, t1, p), -1, p)
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a], [c * inv % p for c in t0]
+
+
 def reference_compose(u1, v1, u2, v2, f, p):
     """A Mumford pair of div(u1, v1) + div(u2, v2) less its pairs
     P + iota(P), whose removal leaves the class of E - deg(E) * infinity
@@ -421,11 +439,11 @@ def reference_compose(u1, v1, u2, v2, f, p):
 
     The oracle's ladder adds one point at a time by
     ``hyperelliptic._add_point`` instead; the tests compare the two."""
-    d, s1 = poly_xgcd(u2, u1, p)
+    d, s1 = reference_xgcd(u2, u1, p)
     s3: list[int] = []
     if len(d) > 1:  # the supports meet
         d1, total = d, poly_axpy(v1, v2, 1, p)
-        d, s3 = poly_xgcd(d1, total, p)
+        d, s3 = reference_xgcd(d1, total, p)
         s1 = poly_mul(divmod_residues(poly_axpy(d, poly_mul(s3, total, p), -1, p), d1, p)[0], s1, p)
     w = poly_axpy(poly_mul(poly_mul(s1, u1, p), poly_axpy(v2, v1, -1, p), p),
                   poly_mul(s3, poly_axpy(f, poly_mul(v1, v1, p), -1, p), p), 1, p)

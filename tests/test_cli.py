@@ -83,6 +83,7 @@ def test_bounds_subcommand():
 GENUS2 = "p=5; f=0,1,0,0,0,1"
 GENUS3 = "p=7; f=1,2,0,0,1,0,0,1"
 GENUS3_DOUBLING = "inf:2; pt:0,1:40; pt:2,4:54; pt:3,0:57"
+GENUS3_WEIERSTRASS_DOUBLING = "pt:5,5:127; pt:2,3:149"
 GENUS4 = "p=13; f=5,8,9,6,9,3,5,10,0,1"
 GENUS4_LONG_QUOTIENT = "pt:6,6:6; pt:9,6:4; pt:11,3:6"
 HYPER_PUSH_CASES = (
@@ -128,6 +129,11 @@ HYPER_PUSH_CASES = (
     # the lone point along its tangent.
     ("genus5-one-site", "p=2147483647; f=1,3,0,0,0,0,0,5,0,0,0,1",
      "inf:-5; pt:0,1:1000000000000", 3),
+    # The doubling route's gcd branch: genus 3 over F_7, n = 276 nodes at
+    # two split points, whose ladder reaches a pair with a Weierstrass
+    # point in its support and doubles it
+    # (test_genus3_weierstrass_doubling_case_takes_the_gcd_branch).
+    ("genus3-weierstrass-doubling", GENUS3, GENUS3_WEIERSTRASS_DOUBLING, 2),
 )
 FORMATS = {"text": "txt", "json": "json", "csv": "csv"}
 
@@ -162,6 +168,26 @@ def test_genus3_doubling_case_adds_by_every_case(monkeypatch):
     assert sum(d for _, _, d in sites) > hyperelliptic._doubling_bound(3, 3)
     hyperelliptic._pole_orders(divisor)
     assert cases == Counter({"crt": 2, "hensel": 2, "cancel": 1, "cancel at y0 = 0": 1})
+
+
+def test_genus3_weierstrass_doubling_case_takes_the_gcd_branch(monkeypatch):
+    # The ladder of the genus3-weierstrass-doubling golden case takes 7
+    # extended gcds in its Cantor doublings; one has a gcd of degree 1,
+    # a Weierstrass point that the doubling drops, and the rest gcd 1.
+    degrees = []
+    xgcd = hyperelliptic.poly_xgcd
+
+    def logged(a, b, p):
+        d, t = xgcd(a, b, p)
+        degrees.append(len(d) - 1)
+        return d, t
+
+    monkeypatch.setattr(hyperelliptic, "poly_xgcd", logged)
+    divisor = divisor_from_string(curve_from_string(GENUS3), GENUS3_WEIERSTRASS_DOUBLING)
+    _, sites = hyperelliptic._conditions(divisor)
+    assert sum(d for _, _, d in sites) > hyperelliptic._doubling_bound(3, len(sites))
+    hyperelliptic._pole_orders(divisor)
+    assert sorted(degrees) == [0] * 6 + [1], degrees
 
 
 def test_genus4_long_quotient_case_spans_two_runs(monkeypatch):

@@ -17,6 +17,7 @@ from pushfwd.expansions import (
     poly_gcd,
     poly_is_squarefree,
     poly_trim,
+    poly_xgcd,
     split_point_series,
     sqrt_series,
     taylor_prefix,
@@ -25,6 +26,7 @@ from reference_oracle import (
     condition_matrix,
     poly_compose_series,
     reference_taylor_prefix,
+    reference_xgcd,
     series_inverse_of_poly,
     series_mul,
     weierstrass_point_series,
@@ -222,6 +224,41 @@ def test_poly_gcd_matches_the_divmod_loop_at_every_length():
             b = poly_derivative(a, p)
             assert poly_gcd(a, b, p) == reference_gcd(a, b, p, drops), (length, p)
     assert min(drops[p] for p in (3, 5, 7)) >= 500, drops
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_poly_xgcd_matches_the_list_loop(p):
+    # a of length 1 to 40, monic half the time as a doubling's u is,
+    # against b of lower, equal and higher degree and b = [], both
+    # multiples of a common factor of degree 0 to 4; every (d, t) is the
+    # list loop's and satisfies Bezout, t b = d mod a.  Non-unit gcds
+    # occur, at p = 3, 5 and 7 remainders that drop two or more degrees,
+    # and coprime cases with b != [] and n = len a >= 2, whose zero
+    # remainder's cofactor is a multiple of a and so fills slot n - 1,
+    # the highest the packed run lets a cofactor reach.
+    rng = random.Random(p)
+
+    def poly(size, monic=False):  # a lead that is not 0
+        if not size:
+            return []
+        return [rng.randrange(p) for _ in range(size - 1)] + [1 if monic else rng.randrange(1, p)]
+
+    drops, kinds = Counter(), Counter()
+    for trial in range(1200):
+        common = poly(rng.randint(1, 5), monic=True)
+        a = _poly_mul(poly(rng.randint(1, 36), monic=trial // 4 % 2), common, p)
+        n = len(a)
+        # deg b below, equal to and above deg a, and b = []
+        size = (rng.randint(0, n - 1), n, rng.randint(n + 1, 2 * n + 2), 0)[trial % 4]
+        b = poly(size)
+        if size > len(common) and rng.random() < 0.5:
+            b = _poly_mul(poly(size - len(common) + 1), common, p)
+        d, t = poly_xgcd(a, b, p)
+        assert (d, t) == reference_xgcd(a, b, p, drops), (a, b)
+        assert poly_divmod(_poly_mul(t, b, p), a, p)[1] == poly_divmod(d, a, p)[1], (a, b)
+        kinds["non-unit gcd" if len(d) > 1 else "coprime, n >= 2" if b and n > 1 else "other"] += 1
+    assert kinds["non-unit gcd"] >= 300 and kinds["coprime, n >= 2"] >= 200, kinds
+    assert p > 7 or drops[p] >= 1000, drops
 
 
 @pytest.mark.parametrize("p", PRIMES)

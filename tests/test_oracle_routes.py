@@ -783,6 +783,22 @@ def test_lone_point_doubling_matches_cantor_doubling(genus):
         >= 3, kinds
 
 
+@pytest.mark.parametrize("genus", range(2, 7))
+def test_cantor_double_matches_cantor_composition(genus):
+    # Cantor's doubling of every reduced pair is the reduced pair of
+    # Cantor's general composition of the pair with itself, whose inverses
+    # come from the list loop reference_xgcd, not from poly_xgcd.  A
+    # Weierstrass point in the support, where u and v share a root, takes
+    # the doubling's gcd branch (len d > 1); at least 15 times at each
+    # genus the support has other points, which the branch then doubles.
+    weierstrass = 0
+    for f, p, (u, v) in reduced_pairs(genus, 40):
+        weierstrass += 1 < len(poly_gcd(u, v, p)) < len(u)
+        assert hyperelliptic._cantor_double(u, v, f, genus, p) == \
+            hyperelliptic._reduce(*reference_compose(u, v, u, v, f, p), f, genus, p), (p, f, u, v)
+    assert weierstrass >= 15, weierstrass
+
+
 @pytest.mark.parametrize("doubled", [False, True], ids=["own-bound", "doubling-everywhere"])
 def test_linear_equivalence_of_multiples_matches_the_condition_matrix(doubled):
     # e P ~ e Q exactly when e (P - Q) has a one-dimensional L, for
