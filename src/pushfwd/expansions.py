@@ -10,17 +10,17 @@ x-value (an absent point has multiplicity 0); it needs no series at a
 ramification point.
 
 The expansion reads only the first prec coefficients of f(x0 + t),
-which ``taylor_prefix`` takes from one C-level dot product
-(``sum(map(mul, ...))``) of f's coefficients times powers of x0 with
-binomial columns packed min(prec, len f) slots wide.  Slot k of that
-sum is at most (p - 1) C(len f, k + 1), and its width is the bit length
-of the largest such bound, so no slot needs a reduction before it is
-read; the columns depend only on (len f, count, width) and are cached
-(``_binomial_columns``: at most 128 tables, length * count * width bits
-each).  That is deg f + prec interpreted steps, where prec synthetic
-divisions by (x - x0) take O(prec * deg f).  The square root then takes
-prec C-level dot products of at most prec / 2 terms each, O(prec^2)
-multiplications but no interpreted inner loop.
+which ``taylor_prefix`` takes from one Horner pass in 1 + s, t = x0 s,
+over f's coefficients times powers of x0, on an accumulator packed
+min(prec, len f) slots wide.  Every value slot k takes is at most
+(p - 1) C(len f, k + 1), and the width is the bit length of the largest
+such bound, so no slot needs a reduction before it is read, and the
+shift builds no table and keeps nothing.  That is len f interpreted
+steps, each a shift, an add and a mask of one int of min(prec, len f)
+slots, and prec more to read the slots, where prec synthetic divisions
+by (x - x0) take O(prec * deg f) interpreted steps.  The square root
+then takes prec C-level dot products of at most prec / 2 terms each,
+O(prec^2) multiplications but no interpreted inner loop.
 
 Two long passes of scalar-times-vector updates mod p run on ``Slots``
 instead: Euclid's loop ``packed_euclid`` and the oracle's Newton
@@ -299,40 +299,26 @@ def poly_is_squarefree(coeffs, p: int) -> bool:
     return len(poly_gcd(coeffs, deriv, p)) == 1
 
 
-@lru_cache(maxsize=128)
-def _binomial_columns(length: int, count: int, width: int) -> tuple[int, ...]:
-    """Column i < length is (1 + X)^i, X = 2**width, truncated to its
-    lowest ``count`` slots, so slot k holds C(i, k) while that is below X,
-    as it is at every width ``taylor_prefix`` picks.  The columns depend
-    on no curve.  An entry is ``length`` ints of at most count * width
-    bits, length * count * width bits in all, where count <= length and
-    width <= bits(p) + length.  At most 128 entries are kept: the
-    ``deep`` benchmark's pool uses 89, the largest (length 82, count 10,
-    width 55 at p = 10007) 5.6 KB of digits, about 0.3 MB in all.
-    """
-    mask = (1 << width * count) - 1
-    out, col = [], 1
-    for _ in range(length):
-        out.append(col)
-        col = (col + (col << width)) & mask
-    return tuple(out)
-
-
 def taylor_prefix(coeffs, x0: int, prec: int, p: int) -> list[int]:
     """The first prec >= 0 coefficients of f(x0 + t) as a polynomial in t.
 
     The k-th is the Hasse derivative sum_i c_i C(i, k) x0^(i - k) (J. von
-    zur Gathen, J. Gerhard, ISSAC '97), and x0^k times it is
-    sum_i C(i, k) w_i with w_i = c_i x0^i mod p.  So with count =
-    min(prec, len f) slots of the binomial columns ``_binomial_columns``
-    packed ``width`` bits apart (D. Harvey, J. Symbolic Comput. 44
-    (2009)), sum_i w_i col_i is one C-level dot product whose slot k is
-    that multiple; slot k is then scaled by x0^(-k).  Slot k is at most
-    (p - 1) sum_(i < len f) C(i, k) = (p - 1) C(len f, k + 1), and
+    zur Gathen, J. Gerhard, ISSAC '97), and x0^k times it is the
+    coefficient of s^k in f(x0 (1 + s)) = sum_i w_i (1 + s)^i, with
+    w_i = c_i x0^i mod p.  That sum is one Horner pass in 1 + s from the
+    top coefficient down, acc <- acc (1 + s) + w_i, on count =
+    min(prec, len f) slots packed ``width`` bits apart (D. Harvey,
+    J. Symbolic Comput. 44 (2009)): a multiply by 1 + s is one shift and
+    add, truncated to the lowest count slots, and w_i's power of x0 steps
+    down by x0^(-1).  Slot k is then scaled by x0^(-k).  After the step
+    for c_i, slot k holds sum_(j >= i) C(j - i, k) w_j, a partial sum of
+    the final slot's nonnegative terms, so every value it takes is at
+    most (p - 1) sum_(j < len f) C(j, k) = (p - 1) C(len f, k + 1), and
     C(len f, j) for j <= count peaks at j = min(count, len f // 2); the
     width is the bit length of that bound, so no slot carries into the
-    next and no reduction is needed before the slots are read.  At
-    x0 = 0 the shift is f's own prefix.  Coefficients past len f are 0.
+    next and no reduction is needed before the slots are read.  Nothing
+    is kept once the shift returns.  At x0 = 0 the shift is f's own
+    prefix.  Coefficients past len f are 0.
     """
     x0 %= p
     length = len(coeffs)
@@ -341,15 +327,15 @@ def taylor_prefix(coeffs, x0: int, prec: int, p: int) -> list[int]:
     if not (x0 and count):
         return [c % p for c in coeffs[:count]] + pad
     width = ((p - 1) * comb(length, min(count, length // 2))).bit_length()
-    weights, power = [], 1
-    for c in coeffs:
-        weights.append(c * power % p)
-        power = power * x0 % p
-    packed = sum(map(mul, _binomial_columns(length, count, width), weights))
-    slot, inv = (1 << width) - 1, pow(x0, -1, p)
+    mask, inv = (1 << width * count) - 1, pow(x0, -1, p)
+    acc, power = 0, pow(x0, length - 1, p)
+    for c in reversed(coeffs):
+        acc = (acc + (acc << width) & mask) + c * power % p
+        power = power * inv % p
+    slot = (1 << width) - 1
     out, scale = [], 1
     for k in range(count):
-        out.append((packed >> width * k & slot) * scale % p)
+        out.append((acc >> width * k & slot) * scale % p)
         scale = scale * inv % p
     return out + pad
 

@@ -85,14 +85,15 @@ Riemann-Roch space dimensions are computed exactly over F_p:
    its first step squares v.
 
 The Newton route's local series cost, per site of d > 1 nodes, one
-Taylor shift of f to d terms, a pass of deg f steps that builds one
-C-level dot product of binomial columns (``expansions.taylor_prefix``),
-and a square root of one C-level dot product per coefficient; a site of
-one node needs neither.  The deg U0 nodes that remain after K is taken
-out cost the interpolant O(deg U0^2) coefficient work, done as updates
-of a few C-level big-int operations each, one per node and later site:
-the sites go in ascending d, so the largest updates none (and a single
-site none at all); and they cost the remainder sequence about
+Taylor shift of f to d terms, a Horner pass of deg f steps, each a few
+C-level big-int operations on d packed slots
+(``expansions.taylor_prefix``), and a square root of one C-level dot
+product per coefficient; a site of one node needs neither.  The deg U0
+nodes that remain after K is taken out cost the interpolant
+O(deg U0^2) coefficient work, done as updates of a few C-level big-int
+operations each, one per node and later site: the sites go in
+ascending d, so the largest updates none (and a single site none at
+all); and they cost the remainder sequence about
 (n - g) / 2 steps, n = deg U0, one per degree from n down to (n + g) / 2,
 each a few C-level big-int operations on at most n - g packed
 coordinates, after the change to powers of y, one such operation per
@@ -133,8 +134,8 @@ window of dimensions that the campaigns extract from, each read off the
 same orders, with the walk starting at floor((d - g) / n).
 ``rr_space_dim`` reads dim L(D) off the same orders, and does not
 compute them when cap' < 0.  Nothing here is cached or keyed by p or by
-a point; the only caches are the binomial columns and ``Slots`` layouts
-of ``expansions``, at most 128 each, sized by genus and bit length of p.
+a point; the only cache is the ``Slots`` layouts of ``expansions``, at
+most 128, sized by genus and bit length of p.
 """
 
 from __future__ import annotations

@@ -398,7 +398,8 @@ def reference_taylor_prefix(coeffs, x0: int, prec: int, p: int) -> list[int]:
     so prec passes of Horner's rule suffice and no k! is divided out.
 
     This is ``expansions.taylor_prefix`` by O(prec * deg f) list steps,
-    where the oracle takes one dot product of packed binomial columns.
+    where the oracle takes one Horner pass in 1 + s, t = x0 s, on a
+    packed accumulator.
     """
     high = [c % p for c in reversed(coeffs)]  # highest degree first
     out = []

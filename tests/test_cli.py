@@ -84,6 +84,7 @@ GENUS2 = "p=5; f=0,1,0,0,0,1"
 GENUS3 = "p=7; f=1,2,0,0,1,0,0,1"
 GENUS3_DOUBLING = "inf:2; pt:0,1:40; pt:2,4:54; pt:3,0:57"
 GENUS3_WEIERSTRASS_DOUBLING = "pt:5,5:127; pt:2,3:149"
+GENUS3_BELOW_G = "pt:0,1:50"
 GENUS4 = "p=13; f=5,8,9,6,9,3,5,10,0,1"
 GENUS4_LONG_QUOTIENT = "pt:6,6:6; pt:9,6:4; pt:11,3:6"
 HYPER_PUSH_CASES = (
@@ -102,7 +103,7 @@ HYPER_PUSH_CASES = (
     ("genus12-mersenne31", "p=2147483647; f=1,3,0,0,0,0,0,5,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1",
      "inf:-3; pt:0,1:5; pt:0,2147483646:-2; pt:2,1207140418:-4; pt:4,1034689055:3; "
      "pt:5,1207224530:-6; pt:6,1141634802:2; pt:11,1200644925:7", 4),
-    # The Newton route's widest binomial columns: genus 30 at p = 2^31 - 1,
+    # The Newton route's widest Taylor-shift slots: genus 30 at p = 2^31 - 1,
     # six split x-values whose d fall from 12 to 2 in x order, so that the
     # interpolant takes them reversed; n = 38 nodes in [g + 2, B(30, 6)].
     ("genus30-mersenne31", "p=2147483647; f=1,3,0,0,0,0,0,5" + ",0" * 53 + ",1",
@@ -134,6 +135,10 @@ HYPER_PUSH_CASES = (
     # point in its support and doubles it
     # (test_genus3_weierstrass_doubling_case_takes_the_gcd_branch).
     ("genus3-weierstrass-doubling", GENUS3, GENUS3_WEIERSTRASS_DOUBLING, 2),
+    # The doubling route's Cantor doublings read in the splitting: genus 3
+    # over F_7, n = 50 > B(3, 1) = 47 nodes at one point, whose ladder
+    # ends at degree 2 < g (test_genus3_below_g_case_ends_below_degree_g).
+    ("genus3-below-g", GENUS3, GENUS3_BELOW_G, 2),
 )
 FORMATS = {"text": "txt", "json": "json", "csv": "csv"}
 
@@ -188,6 +193,23 @@ def test_genus3_weierstrass_doubling_case_takes_the_gcd_branch(monkeypatch):
     assert sum(d for _, _, d in sites) > hyperelliptic._doubling_bound(3, len(sites))
     hyperelliptic._pole_orders(divisor)
     assert sorted(degrees) == [0] * 6 + [1], degrees
+
+
+def test_genus3_below_g_case_ends_below_degree_g(monkeypatch):
+    # The ladder of the genus3-below-g golden case takes 5 extended gcds
+    # in its Cantor doublings and ends at a pair of degree n' = 2 < g.
+    # The splitting reads n', and almost every ladder ends at n' = g, so
+    # this case's files change when a doubling goes wrong.
+    calls = []
+    xgcd = hyperelliptic.poly_xgcd
+    monkeypatch.setattr(hyperelliptic, "poly_xgcd",
+                        lambda *args: calls.append(args) or xgcd(*args))
+    curve = curve_from_string(GENUS3)
+    _, sites = hyperelliptic._conditions(divisor_from_string(curve, GENUS3_BELOW_G))
+    assert sum(d for _, _, d in sites) > hyperelliptic._doubling_bound(3, len(sites))
+    u, _ = hyperelliptic._ladder(sites, list(curve.coeffs), curve.genus, curve.prime)
+    assert len(u) - 1 == 2 < curve.genus
+    assert len(calls) == 5
 
 
 def test_genus4_long_quotient_case_spans_two_runs(monkeypatch):

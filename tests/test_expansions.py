@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -85,12 +86,34 @@ def test_taylor_prefix_matches_the_synthetic_divisions(case):
 def test_taylor_prefix_slots_at_their_bound(p):
     # Every coefficient p - 1 at length 170.  At x0 = 1 every weight is
     # p - 1, so slot k reaches its bound (p - 1) C(170, k + 1), and at
-    # prec >= 85 the largest slot is the stated bound itself.
+    # prec >= 85 the largest slot is the stated bound itself.  The bound
+    # covers every intermediate Horner value too: each is a partial sum
+    # of the final slot's nonnegative terms.
     f = [p - 1] * 170
     for x0 in (1, p - 1):
         for prec in (1, 2, 84, 85, 86, 170, 173):
             assert taylor_prefix(f, x0, prec, p) == \
                 reference_taylor_prefix(f, x0, prec, p), (x0, prec)
+
+
+def test_taylor_prefix_keeps_no_memory_at_genus_500():
+    # f of length 1002, genus 500, at p = 2^31 - 1, shifted at 8 distinct
+    # precs near 1000: nothing a shift allocates outlives it, so a process
+    # does not grow with the number of distinct (length, prec) shapes.
+    p = 2**31 - 1
+    rng = random.Random(500)
+    f = [rng.randrange(p) for _ in range(1002)]
+    x0 = rng.randrange(1, p)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for prec in range(993, 1001):
+            taylor_prefix(f, x0, prec, p)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20, held
+    assert taylor_prefix(f, x0, 1000, p) == reference_taylor_prefix(f, x0, 1000, p)
 
 
 def poly_divmod(num, den, p):
