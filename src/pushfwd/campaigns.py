@@ -22,7 +22,6 @@ from .genus0 import direct_image_g0, direct_image_g0_bundle, g0_oracle_sequence
 from .genus1 import AtiyahBundleSpec, direct_image_g1
 from .hyperelliptic import (
     ComposedMap,
-    CurvePoint,
     Divisor,
     HyperellipticCurve,
     _pole_orders,
@@ -92,13 +91,14 @@ def sample_curve(rng: random.Random, genus: int, prime: int | None = None) -> Hy
 
 def sample_divisor(rng: random.Random, curve: HyperellipticCurve) -> Divisor:
     """Coefficient at infinity uniform in [-(2g+2), 2g+2], plus up to three
-    affine points with multiplicities in [-2, 2]."""
+    affine points with multiplicities in [-2, 2].  The curve listed the
+    points, so they are stamped with it and not checked again."""
     g = curve.genus
     at_inf = rng.randint(-(2 * g + 2), 2 * g + 2)
     coords = curve.affine_coordinates()
     count = rng.randint(0, min(3, len(coords)))
     chosen = rng.sample(coords, count)
-    affine = {CurvePoint(x, y): rng.choice((-2, -1, 1, 2)) for x, y in chosen}
+    affine = {curve._stamped(x, y): rng.choice((-2, -1, 1, 2)) for x, y in chosen}
     return Divisor(curve, at_inf, affine)
 
 

@@ -63,8 +63,8 @@ Riemann-Roch space dimensions are computed exactly over F_p:
    of the reduced representative of E - n * infinity, E = div(U0, V)
    the zeros asked for: the solution of least pole order vanishes on E
    and on n' more points, and o1 + o2 = 2n + 2g + 1.  So when the n
-   nodes over s x-values are more than B(g, s) (``_doubling_bound``, set
-   at the measured crossover of the two routes' costs), no series is
+   nodes over s x-values are more than B(g, s) (``_doubling_bound``,
+   fitted to the two routes' measured crossover), no series is
    built: the sum of d (P - infinity) over the sites (P, d) becomes one
    reduced Mumford pair (u, v) in monomial coordinates by a single
    left-to-right double-and-add over the bits of every d at once
@@ -99,9 +99,9 @@ each a few C-level big-int operations on at most n - g packed
 coordinates, after the change to powers of y, one such operation per
 node below the last run of nodes, for U0 and for V.  When
 deg U0 <= g + 1 none of this is done.  The Newton route runs only when
-n <= B(g, s) = 14 + 11 g + floor(s / 2), or 14 + floor(s / 2) at
-genus 2, so its cost is bounded by the genus and the number s of
-x-values, and no multiplicity makes it longer.  On the doubling route
+n <= B(g, s) = 15 + 12 g, or 14 + floor(s / 2) at genus 2, so its cost
+is bounded by the genus, and at genus 2 by the number s of x-values,
+and no multiplicity makes it longer.  On the doubling route
 the sites share the floor(log2(max d)) doublings, and each site adds
 its point once per set bit of its d; each step works on polynomials of
 degree at most 2g + 1 and costs O(g^2).  A lone point's doubling costs
@@ -688,36 +688,47 @@ def _conditions(divisor: Divisor):
 
 
 def _doubling_bound(genus: int, sites: int) -> int:
-    """B(g, s) = 14 + 11 g + floor(s / 2), and B(2, s) = 14 + floor(s / 2):
-    at more than B(g, s) nodes over s x-values, the doubling route costs
-    less than the Newton route.  The Newton route's interpolant and
-    remainder sequence grow with the square of the node count; the
-    doubling route's ladder pays floor(log2(max d)) doublings in all and
-    one addition per set bit of each site's d, each O(g^2), and at genus
-    2 its doublings are straight-line, so the genus-2 form drops the 11 g.
+    """B(g, s) = 15 + 12 g, whatever s, and B(2, s) = 14 + floor(s / 2):
+    the Newton route takes at most B(g, s) nodes over s x-values, the
+    doubling route more.  The Newton route's interpolant and remainder
+    sequence grow with the square of the node count; the doubling route's
+    ladder pays floor(log2(max d)) doublings in all and one addition per
+    set bit of each site's d, each O(g^2).  At genus 2 its doublings are
+    straight-line, and B(2, s) keeps its earlier fit, so that genus-2
+    divisors keep their routes.
 
     The measured crossover n is the first value of a grid from
-    max(s, g + 2), each next value max(n + 1, floor(1.15 n)), up to 1.6
-    times the bound fitted before (40 + 11 g) (4 + floor(log2 s)) / 4, at
-    which s sites of about n / s nodes each took less time by doubling,
-    and from which no larger value took more than 5% longer by doubling
-    than by the Newton route (a tie, such as the costly bit pattern of
-    n = 23 = 10111b at g = 2, s = 1, does not reset it).  A route's time
-    at n is the sum, over three random curves over F_10007, of its best
-    of five runs; each cell is the median over three such draws of
-    curves, as measured / B(g, s):
+    max(s, g + 2), each next value max(n + 1, floor(1.15 n)), up to 2.5
+    times the bound before, 14 + 11 g + floor(s / 2), at which s sites of
+    about n / s nodes each took less time by doubling, and from which no
+    larger value took more than 5% longer by doubling than by the Newton
+    route (a tie does not reset it).  A route's time at n is the sum, over
+    three random curves over F_10007, of its best of five runs; each cell
+    is the median over three such draws of curves, as measured / B(g, s):
 
-        g     s = 1     s = 4     s = 16    s = 64
-        1     33/25     23/27     23/33     64/57
-        2     16/14     14/16     23/22     64/46
-        4     72/58     48/60     55/66     64/90
-        10   124/124   142/126   124/132   109/156
-        20   209/234   209/236   276/242   248/266
+        g     s = 1      s = 4     s = 16    s = 64
+        1     >62/27     33/27     26/27     64/27
+        2      33/14     14/16     26/22     64/46
+        4     124/63     72/63     63/63     64/63
+        10    247/135   163/135   187/135   216/135
+        20    418/255   317/255   418/255   496/255
+        40    750/495   653/495   862/495  1143/495
+        100  1871/1215  (best of three runs)
+        400  8634/4815  (one curve per draw, best of two runs)
 
     A cell of 64 at s = 64 is the grid's first value: there the doubling
-    route took less time at every n >= s tried.
+    route took less time at every n >= s tried; >62 passed the grid's end.
+    Each B(g, s) lies between the bound before and its cell's crossover,
+    so at no n of the grid does it pick a slower route than the bound
+    before did.  A line in g is the fewest terms that do: g = 1 and
+    g = 4 pin it near the crossover, and above them it stays below the
+    crossover, which grows faster than g.  Between grid values B can
+    pick the slower route where most sites' d are a power of two and take
+    one addition each: per-n scans found the doubling route up to 13%
+    faster at a few n at or just below B, at g = 10 and g = 20 with
+    s = 16, and no line in g avoids every such n.
     """
-    return 14 + sites // 2 + (0 if genus == 2 else 11 * genus)
+    return 14 + sites // 2 if genus == 2 else 15 + 12 * genus
 
 
 def _newton_orders(curve: HyperellipticCurve, sites) -> tuple[int, int]:

@@ -21,6 +21,8 @@ pairs, which the oracle's ladder replaces by adding one point at a time,
 and ``addition_case`` names the case of that addition; its inverses come
 from ``reference_xgcd``, Euclid's loop with a cofactor on lists, which
 the oracle's ``poly_xgcd`` replaces by one packed run.
+``reference_reduce`` is Cantor's reduction step by step, which the
+oracle runs in continued-fraction form.
 
 The package itself needs neither the elimination nor the ramification
 series, so they live here: ``pivot_columns_mod_p``, a numpy column
@@ -453,6 +455,19 @@ def reference_compose(u1, v1, u2, v2, f, p):
         u = divmod_residues(u, poly_mul(d, d, p), p)[0]
         w = divmod_residues(w, d, p)[0]
     return u, divmod_residues(poly_axpy(v1, w, 1, p), u, p)[1]
+
+
+def reference_reduce(u, v, f, genus, p):
+    """The reduced Mumford pair of div(u, v) - deg(u) * infinity, u monic,
+    by Cantor's reduction as he states it: while deg u > g, u' =
+    (f - v^2) / u and v' = -v mod u'; the last u is made monic.  The
+    oracle's ``hyperelliptic._reduce`` runs it in continued-fraction form,
+    squaring v only in the first step."""
+    while len(u) - 1 > genus:
+        u = divmod_residues(poly_axpy(f, poly_mul(v, v, p), -1, p), u, p)[0]
+        v = divmod_residues(poly_axpy([], v, -1, p), u, p)[1]
+    inv = pow(u[-1], -1, p)
+    return [c * inv % p for c in u], v
 
 
 def addition_case(u, v, x0, y0, p):

@@ -84,8 +84,10 @@ GENUS2 = "p=5; f=0,1,0,0,0,1"
 GENUS3 = "p=7; f=1,2,0,0,1,0,0,1"
 GENUS3_DOUBLING = "inf:2; pt:0,1:40; pt:2,4:54; pt:3,0:57"
 GENUS3_WEIERSTRASS_DOUBLING = "pt:5,5:127; pt:2,3:149"
-GENUS3_BELOW_G = "pt:0,1:50"
+GENUS3_BELOW_G = "pt:0,1:65"
 GENUS4 = "p=13; f=5,8,9,6,9,3,5,10,0,1"
+GENUS10 = "p=10007; f=1,3,0,0,0,0,0,5" + ",0" * 13 + ",1"
+GENUS10_ONE_SITE = "inf:-6; pt:2,8417:130"
 GENUS4_LONG_QUOTIENT = "pt:6,6:6; pt:9,6:4; pt:11,3:6"
 HYPER_PUSH_CASES = (
     ("weierstrass", GENUS2, "inf:1; pt:0,0:7", 1),
@@ -121,7 +123,7 @@ HYPER_PUSH_CASES = (
     # F_13, three split x-values, n = 16 nodes in [g + 2, B(4, 3)]
     # (test_genus4_long_quotient_case_spans_two_runs).
     ("genus4-long-quotient", GENUS4, GENUS4_LONG_QUOTIENT, 2),
-    # The doubling route at genus 3 over F_7: n = 95 > B(3, 3) = 48 nodes
+    # The doubling route at genus 3 over F_7: n = 95 > B(3, 3) = 51 nodes
     # at three x-values, one a ramification zero, whose ladder adds points
     # by every case of _add_point (test_genus3_doubling_case_adds_by_every_case).
     ("genus3-doubling", GENUS3, GENUS3_DOUBLING, 3),
@@ -136,9 +138,13 @@ HYPER_PUSH_CASES = (
     # (test_genus3_weierstrass_doubling_case_takes_the_gcd_branch).
     ("genus3-weierstrass-doubling", GENUS3, GENUS3_WEIERSTRASS_DOUBLING, 2),
     # The doubling route's Cantor doublings read in the splitting: genus 3
-    # over F_7, n = 50 > B(3, 1) = 47 nodes at one point, whose ladder
+    # over F_7, n = 65 > B(3, 1) = 51 nodes at one point, whose ladder
     # ends at degree 2 < g (test_genus3_below_g_case_ends_below_degree_g).
     ("genus3-below-g", GENUS3, GENUS3_BELOW_G, 2),
+    # The Newton route where the bound before, 14 + 11 g + floor(s / 2),
+    # took the doubling route: genus 10 over F_10007, n = 130 nodes at one
+    # point, in (124, B(10, 1)] (test_genus10_one_site_case_takes_the_newton_route).
+    ("genus10-one-site", GENUS10, GENUS10_ONE_SITE, 3),
 )
 FORMATS = {"text": "txt", "json": "json", "csv": "csv"}
 
@@ -235,6 +241,24 @@ def test_genus4_long_quotient_case_spans_two_runs(monkeypatch):
         above = nodes[genus + 1:length]
         long_over_runs += d > 1 and any(y != z for y, z in zip(above, above[1:]))
     assert quotients == [1, 1, 2, 1, 1] and long_over_runs == 1, quotients
+
+
+def test_genus10_one_site_case_takes_the_newton_route(monkeypatch):
+    # n = 130 nodes at one point at genus 10 lies above the bound before,
+    # 14 + 11 g + floor(s / 2) = 124, and at most B(10, 1): the
+    # genus10-one-site golden case, made by the doubling route, is now
+    # answered by the Newton route with the same files.
+    divisor = divisor_from_string(curve_from_string(GENUS10), GENUS10_ONE_SITE)
+    _, sites = hyperelliptic._conditions(divisor)
+    assert len(sites) == 1 and 124 < sites[0][2] <= hyperelliptic._doubling_bound(10, 1)
+    calls = Counter()
+    for route in ("_ladder", "_newton_interpolant"):
+        original = getattr(hyperelliptic, route)
+        monkeypatch.setattr(hyperelliptic, route,
+                            lambda *args, _route=route, _original=original:
+                            calls.update([_route]) or _original(*args))
+    hyperelliptic._pole_orders(divisor)
+    assert calls == Counter({"_newton_interpolant": 1}), calls
 
 
 def test_split_41_case_takes_the_doubling_route(monkeypatch, tmp_path):
