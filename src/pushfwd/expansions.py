@@ -42,12 +42,14 @@ the divisor's lead instead of inverting it, which changes each
 remainder by a nonzero constant only.  The square root is already
 C-level dot products, and the list helpers ``divmod_residues``,
 ``poly_mul`` and ``poly_axpy`` serve the doubling route's point
-additions, Cantor doublings and reductions.  At g >= 2 a lone point's
-doubling takes no gcd: it is the tangent U = (x - x0)^2,
-V = y0 + f'(x0) / (2 y0) (x - x0), exact as V^2 = f mod U and reduced
-as deg U = 2 <= g, so the ladders of the benchmark's genus-2 ``sweep``
-queries call ``poly_xgcd`` only where a straight-line doubling
-degenerates.
+additions, Cantor doublings and reductions.  At every genus a lone
+point's doubling takes no gcd: it is the tangent U = (x - x0)^2,
+V = y0 + f'(x0) / (2 y0) (x - x0), exact as V^2 = f mod U, reduced as
+it is at g >= 2 and by one Cantor step at genus 1.  So a genus-1 ladder
+never calls ``poly_xgcd``, and the ladders of the benchmark's genus-2
+``sweep`` queries call it only where a straight-line doubling
+degenerates.  Each Cantor doubling (``hyperelliptic._cantor_double``)
+calls it once.
 """
 
 from __future__ import annotations

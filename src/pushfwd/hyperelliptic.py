@@ -68,15 +68,20 @@ Riemann-Roch space dimensions are computed exactly over F_p:
    built: the sum of d (P - infinity) over the sites (P, d) becomes one
    reduced Mumford pair (u, v) in monomial coordinates by a single
    left-to-right double-and-add over the bits of every d at once
-   (Straus's multi-exponentiation, ``_ladder``).  A doubling is the
-   Hensel lift u^2, v + (f - v^2) (2 v)^(-1) mod u^2 after the
-   Weierstrass points of the support drop out, straight-line at genus 2
-   with deg u = 2 unless that degenerates (T. Lange, AAECC 15 (2005)).
-   A lone point P = (x0, y0), y0 != 0, doubles along its tangent at any
-   genus g >= 2, with no gcd: U = (x - x0)^2, V = y0 + l (x - x0) with
-   l = f'(x0) / (2 y0), exact since V(x0) = y0 and V'(x0) = l give
-   V^2 = f mod U, and reduced since deg U = 2 <= g.  It is the first
-   doubling of every ladder whose largest d belongs to one site.
+   (Straus's multi-exponentiation, ``_ladder``).  A doubling picks its
+   rule from the pair alone.  A pair of degree at most 1 takes no gcd:
+   the zero class and a lone Weierstrass point double to the zero
+   class, and a lone point P = (x0, y0), y0 != 0, along its tangent,
+   U = (x - x0)^2, V = y0 + l (x - x0) with l = f'(x0) / (2 y0), exact
+   since V(x0) = y0 and V'(x0) = l give V^2 = f mod U, reduced as it is
+   at g >= 2 and by one Cantor step at genus 1.  The tangent is the
+   first doubling of every ladder whose largest d belongs to one site,
+   and every doubling at genus 1.  At genus 2 a pair with deg u = 2
+   doubles in straight-line arithmetic unless that degenerates
+   (T. Lange, AAECC 15 (2005)).  Any other pair takes one extended gcd:
+   the Weierstrass points of its support drop out, and what is left
+   doubles by these same rules; with none to drop, it is the Hensel lift
+   u^2, v + (f - v^2) (2 v)^(-1) mod u^2.
    Adding a point P = (x0, y0) takes no gcd (Lange's mixed addition, for
    any genus): u (x - x0) by the CRT off the support or by a Hensel step
    on it, and u / (x - x0) when iota(P) is on it.  Cantor's reduction
@@ -105,12 +110,13 @@ and no multiplicity makes it longer.  On the doubling route
 the sites share the floor(log2(max d)) doublings, and each site adds
 its point once per set bit of its d; each step works on polynomials of
 degree at most 2g + 1 and costs O(g^2).  A lone point's doubling costs
-one pass over f, for f'(x0), and one inversion.  Any other doubling
-inverts v mod u by one ``packed_euclid`` run
-(``expansions.poly_xgcd``), at most deg u steps of a few C-level
-big-int operations on 2 deg u + 2 packed slots, and a second run when
-Weierstrass points drop out; the lift and the first reduction step are
-about 14 calls into the list helpers.  At genus 2 a doubling of a
+one pass over f, for f'(x0), and one inversion, and at genus 1 one
+Cantor step.  Any other doubling inverts v mod u by one
+``packed_euclid`` run (``expansions.poly_xgcd``), at most deg u steps
+of a few C-level big-int operations on 2 deg u + 2 packed slots; when
+Weierstrass points drop out, the rest costs what its own doubling
+costs, no gcd for a lone point.  The lift and the first reduction step
+are about 14 calls into the list helpers.  At genus 2 a doubling of a
 degree-2 u in general position costs about 40 multiplications and two
 inversions in one pass, against about 25 calls into the list helpers.
 Nothing is eliminated, and numpy is not used.
@@ -495,21 +501,25 @@ def _cantor_steps(prev, v, u, genus, p):
 
 
 def _double(u, v, f, genus, p):
-    """The reduced Mumford pair of 2 div(u, v), u monic: a lone point at
-    genus >= 2 by its tangent, by ``_double_genus2`` at genus 2 with
-    deg u = 2 unless it is degenerate there, else by ``_cantor_double``.
+    """The reduced Mumford pair of 2 div(u, v), u monic, by a rule read
+    off the pair: for deg u <= 1 the zero class or the tangent, at genus 2
+    with deg u = 2 by ``_double_genus2`` unless it is degenerate there,
+    else by ``_cantor_double``.
 
-    The tangent: for u = x - x0 and v = [y0], y0 != 0, the pair of 2 P is
-    U = (x - x0)^2 and V = y0 + l (x - x0) with l = f'(x0) / (2 y0).  It is
-    exact, since V(x0) = y0 and V'(x0) = l give V^2 = y0^2 + f'(x0) (x - x0)
-    = f mod U, and reduced, since deg U = 2 <= g.  A Weierstrass point
-    (v = []) doubles to the zero class ([1], []): 2 W ~ 2 infinity."""
-    if len(u) == 2 and genus >= 2:
+    The zero class ([1], []) and a Weierstrass point (v = []) double to
+    the zero class: 2 W ~ 2 infinity.  The tangent: for u = x - x0 and
+    v = [y0], y0 != 0, 2 P is the class of U = (x - x0)^2 and
+    V = y0 + l (x - x0) with l = f'(x0) / (2 y0), exact since V(x0) = y0
+    and V'(x0) = l give V^2 = y0^2 + f'(x0) (x - x0) = f mod U.
+    ``_reduce`` returns it as it is at g >= 2, where deg U = 2 <= g, and
+    takes one Cantor step at genus 1."""
+    if len(u) <= 2:
         if not v:
             return [1], []
         x0, y0 = -u[0] % p, v[0]
         slope = poly_eval(poly_derivative(f, p), x0, p) * pow(2 * y0, -1, p) % p
-        return [x0 * x0 % p, -2 * x0 % p, 1], [(y0 - slope * x0) % p, slope] if slope else [y0]
+        return _reduce([x0 * x0 % p, -2 * x0 % p, 1],
+                       [(y0 - slope * x0) % p, slope] if slope else [y0], f, genus, p)
     if genus == 2 and len(u) == 3:
         pair = _double_genus2(u, v, f, p)
         if pair:
@@ -556,16 +566,20 @@ def _double_genus2(u, v, f, p):
 
 
 def _cantor_double(u, v, f, genus, p):
-    """The reduced Mumford pair of 2 div(u, v).  The Weierstrass points
-    of the support, where v vanishes, drop out (2 W ~ 2 infinity); the
-    rest is the Hensel lift U = u^2, V = v + u k with
-    k = (f - v^2) / (2 v u) mod u, and w = (f - v^2) / u gives the first
-    reduction step for free: f - V^2 = U ((w - 2 v k) / u - k^2)."""
+    """The reduced Mumford pair of 2 div(u, v), by one extended gcd
+    d = gcd(u, v).  The Weierstrass points of the support, where v
+    vanishes, are the roots of d and drop out (2 W ~ 2 infinity): the
+    rest, u / d and v mod u / d, goes back to ``_double``, so a lone point
+    left takes its tangent.  Each Weierstrass point divides u once, as f
+    is squarefree, so the rest is coprime to its v: a second call on it
+    finds d = 1, and the recursion ends there.  With d = 1 the pair is
+    the Hensel lift U = u^2, V = v + u k with k = (f - v^2) / (2 v u)
+    mod u, and w = (f - v^2) / u gives the first reduction step for
+    free: f - V^2 = U ((w - 2 v k) / u - k^2)."""
     d, inv = poly_xgcd(u, v, p)
     if len(d) > 1:
         u = divmod_residues(u, d, p)[0]
-        v = divmod_residues(v, u, p)[1]
-        inv = poly_xgcd(u, v, p)[1]
+        return _double(u, divmod_residues(v, u, p)[1], f, genus, p)
     w = divmod_residues(poly_axpy(f, poly_mul(v, v, p), -1, p), u, p)[0]
     k = divmod_residues(poly_mul(poly_scale(inv, (p + 1) // 2, p), w, p), u, p)[1]
     big_u, big_v = poly_mul(u, u, p), poly_axpy(v, poly_mul(u, k, p), 1, p)
@@ -707,7 +721,7 @@ def _doubling_bound(genus: int, sites: int) -> int:
     is the median over three such draws of curves, as measured / B(g, s):
 
         g     s = 1      s = 4     s = 16    s = 64
-        1     >62/27     33/27     26/27     64/27
+        1      33/27     16/27     23/27     64/27
         2      33/14     14/16     26/22     64/46
         4     124/63     72/63     63/63     64/63
         10    247/135   163/135   187/135   216/135
@@ -717,11 +731,17 @@ def _doubling_bound(genus: int, sites: int) -> int:
         400  8634/4815  (one curve per draw, best of two runs)
 
     A cell of 64 at s = 64 is the grid's first value: there the doubling
-    route took less time at every n >= s tried; >62 passed the grid's end.
-    Each B(g, s) lies between the bound before and its cell's crossover,
-    so at no n of the grid does it pick a slower route than the bound
-    before did.  A line in g is the fewest terms that do: g = 1 and
-    g = 4 pin it near the crossover, and above them it stays below the
+    route took less time at every n >= s tried.  The genus-1 row was
+    measured after a lone point's doubling became its tangent at every
+    genus, which made genus-1 doublings about twice as fast; before, it
+    read >62 (past the grid's end), 33, 26 and 64.  At genus 1 with s = 4
+    and s = 16 the crossover lies below B(1, s) = 27 (at s = 16 it did
+    before too), so there the n from the crossover to 27 take the Newton
+    route, the slower one.
+    Every other B(g, s) lies between the bound before and its cell's
+    crossover, so at no other n of the grid does it pick a slower route
+    than the bound before did.  A line in g is the fewest terms that do:
+    g = 4 pins it near the crossover, and above it it stays below the
     crossover, which grows faster than g.  Between grid values B can
     pick the slower route where most sites' d are a power of two and take
     one addition each: per-n scans found the doubling route up to 13%

@@ -145,6 +145,10 @@ HYPER_PUSH_CASES = (
     # took the doubling route: genus 10 over F_10007, n = 130 nodes at one
     # point, in (124, B(10, 1)] (test_genus10_one_site_case_takes_the_newton_route).
     ("genus10-one-site", GENUS10, GENUS10_ONE_SITE, 3),
+    # The doubling route at genus 1: 10^6 nodes at one point, far above
+    # B(1, 2) = 27, and a ramification zero; every doubling of the ladder
+    # is a lone point's tangent and one Cantor step, with no extended gcd.
+    ("genus1-one-site", "p=10007; f=0,3,5,1", "inf:-3; pt:1,3:1000000; pt:0,0:1", 2),
 )
 FORMATS = {"text": "txt", "json": "json", "csv": "csv"}
 

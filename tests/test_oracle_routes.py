@@ -812,10 +812,16 @@ def reduced_pairs(genus, curves):
                 yield f, p, ([-x0 % p, 1], [y0] if y0 else [])
 
 
+def _composed_double(u, v, f, genus, p):
+    """The reduced pair of 2 div(u, v) by Cantor's composition of the pair
+    with itself and his reduction, neither of which the oracle runs."""
+    return reference_reduce(*reference_compose(u, v, u, v, f, p), f, genus, p)
+
+
 def test_genus2_doubling_matches_cantor_doubling():
-    # The straight-line branch and a lone point's tangent give the pair of
-    # Cantor's generic steps; u and v with a common root (r = 0) and
-    # k1 = 0 go to those steps themselves.
+    # The straight-line branch, a lone point's tangent and Cantor's generic
+    # steps, which take u and v with a common root (r = 0) and k1 = 0,
+    # give the reduced pair of Cantor's composition of the pair with itself.
     kinds = Counter()
     for f, p, (u, v) in reduced_pairs(2, 200):
         if len(u) != 3:
@@ -824,28 +830,64 @@ def test_genus2_doubling_matches_cantor_doubling():
             kinds["straight-line"] += 1
         else:
             kinds["r = 0" if len(poly_gcd(u, v, p)) > 1 else "k1 = 0"] += 1
-        assert hyperelliptic._double(u, v, f, 2, p) == \
-            hyperelliptic._cantor_double(u, v, f, 2, p), (p, f, u, v)
+        assert hyperelliptic._double(u, v, f, 2, p) == _composed_double(u, v, f, 2, p), \
+            (p, f, u, v)
     assert kinds["straight-line"] >= 400 and kinds["r = 0"] and kinds["k1 = 0"] \
         and kinds["deg u = 1"], kinds
 
 
-@pytest.mark.parametrize("genus", range(2, 7))
+@pytest.mark.parametrize("genus", range(1, 7))
 def test_lone_point_doubling_matches_cantor_doubling(genus):
-    # A lone point P, u = x - x0, doubles along its tangent to the pair of
-    # Cantor's generic steps.  At every prime each case occurs: a tangent
-    # of nonzero slope, a flat one (f'(x0) = 0, so V = y0) and a
-    # Weierstrass point (y0 = 0, the zero class).
+    # A lone point P, u = x - x0, doubles along its tangent, reduced once
+    # more at genus 1, to the reduced pair of Cantor's composition of P
+    # with itself, and the zero class doubles to itself.  At every prime
+    # each case occurs: a tangent of nonzero slope, a flat one
+    # (f'(x0) = 0, so V = y0) and a Weierstrass point (y0 = 0, the zero
+    # class).
     kinds = Counter()
     for f, p, (u, v) in reduced_pairs(genus, 40):
         if len(u) != 2:
             continue
         slope = poly_eval(poly_derivative(f, p), -u[0] % p, p)
         kinds[p, "y0 = 0" if not v else "f'(x0) = 0" if not slope else "tangent"] += 1
-        assert hyperelliptic._double(u, v, f, genus, p) == \
-            hyperelliptic._cantor_double(u, v, f, genus, p), (p, f, u, v)
+        for pair in ((u, v), ([1], [])):
+            assert hyperelliptic._double(*pair, f, genus, p) == \
+                _composed_double(*pair, f, genus, p), (p, f, pair)
     assert min(kinds[p, kind] for p in PRIMES for kind in ("tangent", "f'(x0) = 0", "y0 = 0")) \
         >= 3, kinds
+
+
+def _counting_xgcd(monkeypatch):
+    """A list that gets one entry per ``poly_xgcd`` call the oracle makes."""
+    calls = []
+    xgcd = hyperelliptic.poly_xgcd
+    monkeypatch.setattr(hyperelliptic, "poly_xgcd",
+                        lambda *args: calls.append(args) or xgcd(*args))
+    return calls
+
+
+def test_genus1_ladder_takes_no_gcd(monkeypatch):
+    # At genus 1 every doubling of the ladder is a lone point's tangent,
+    # reduced by one Cantor step, or the zero class: 10^6 nodes at one
+    # point take no extended gcd.
+    curve = curve_from_string("p=10007; f=0,3,5,1")
+    P = curve.point(1, 3)
+    calls = _counting_xgcd(monkeypatch)
+    u, _ = hyperelliptic._ladder([(P.x, P.y, 10**6)], list(curve.coeffs), 1, curve.prime)
+    assert len(u) - 1 <= 1 and calls == []
+
+
+def test_weierstrass_drop_takes_one_gcd(monkeypatch):
+    # Doubling a genus-3 pair of a Weierstrass point W and a split point P
+    # drops W in its one extended gcd, and doubles the lone P left along
+    # its tangent, to the pair of Cantor's composition.
+    curve = curve_from_string("p=7; f=1,2,0,0,1,0,0,1")
+    f, p = list(curve.coeffs), curve.prime
+    u, v = hyperelliptic._ladder([(0, 1, 1), (3, 0, 1)], f, 3, p)
+    assert len(u) == 3 and len(poly_gcd(u, v, p)) == 2
+    calls = _counting_xgcd(monkeypatch)
+    assert hyperelliptic._double(u, v, f, 3, p) == _composed_double(u, v, f, 3, p)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("genus", range(2, 7))

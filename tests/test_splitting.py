@@ -119,6 +119,14 @@ def test_extraction_error_paths():
             seq.value_at(degree)
 
 
+
+def test_negative_window_values_are_rejected():
+    # A negative value raises before the zero-tail and convexity checks
+    # would read it as a wrong tail or a negative second difference.
+    for values in ((-1, 0, 0), (2, -1, 0, 0), (0, 0, -1)):
+        with pytest.raises(InvalidSequence, match="^cohomology dimensions cannot be negative$"):
+            CohSequence(0, values, 1)
+
 def test_h1_route_extraction():
     seq = CohSequence(-2, (0, 0, 1), 1, mode="h1")
     assert splitting_from_h1_sequence(seq) == SplittingType([-2])
@@ -166,6 +174,14 @@ def test_window_discovery_gives_up_on_an_endless_walk():
     with pytest.raises(InvalidSequence, match="^negative dimension -1 reported at degree 0$"):
         h0_sequence_from_callable(lambda l: -1, 1)
 
+
+
+def test_window_discovery_rejects_a_negative_second_difference():
+    # 1, 1 at l = -1, 0 and 0 above: the walk down from the top reaches
+    # 1 - 2 * 1 + 0 = -1 at l = -1 before the rank 2.
+    with pytest.raises(NegativeSecondDifference,
+                       match="^second difference -1 at degree -1: not the cohomology"):
+        h0_sequence_from_callable(lambda l: 1 if l in (-1, 0) else 0, 2)
 
 def test_window_discovery_from_a_start_inside_the_window():
     b = SplittingType([2, 0, 0, -3])

@@ -59,6 +59,12 @@ def test_h1_sequence_negative_h1():
         h1_sequence_from_h0(a, CurveMapContext(0, 2, 1, 40))
 
 
+
+def test_h1_sequence_needs_an_h0_window():
+    a = CohSequence(-2, (0, 0, 1), 1, mode="h1")
+    with pytest.raises(ValueError, match="^expected an h0-mode sequence$"):
+        h1_sequence_from_h0(a, CurveMapContext(0, 2, 1, 0))
+
 def test_h1_sequence_genus1_trivial():
     # elliptic trivial bundle, degree-2 map: a-window (4,2,1,0,0) from -2
     a = CohSequence(-2, (4, 2, 1, 0, 0), 2)
@@ -81,6 +87,12 @@ def test_stable_form():
     with pytest.raises(Overfull):
         stable_form(2, 2, 1, 0)
 
+
+
+def test_stable_form_rejects_negative_dimensions():
+    for h0, h1 in ((-1, 0), (0, -1), (-1, 2)):
+        with pytest.raises(ValueError, match="^cohomology dimensions cannot be negative$"):
+            stable_form(3, h0, h1, 0)
 
 def test_spread_bound_cases():
     assert spread_bound(CurveMapContext(2, 3)).bound == 2
